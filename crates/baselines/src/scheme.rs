@@ -17,7 +17,7 @@ use tnb_core::packet::{DecodedPacket, DetectedPacket};
 use tnb_core::receiver::{TnbConfig, TnbReceiver};
 use tnb_core::sigcalc::{snr_from_peak_db, SigCalc};
 use tnb_core::thrive::ThriveConfig;
-use tnb_core::{DecodeReport, ParallelReceiver, PipelineMetrics};
+use tnb_core::{DecodeReport, PipelineMetrics};
 use tnb_dsp::{Complex32, DspScratch};
 use tnb_phy::decoder as phy_decoder;
 use tnb_phy::header::Header;
@@ -36,27 +36,20 @@ pub trait Scheme {
         self.decode(&[samples])
     }
 
-    /// Decodes the trace with up to `workers` threads. Schemes with a
-    /// parallel pipeline (TnB) override this; the default ignores the
-    /// hint and decodes serially, so results are identical either way.
-    fn decode_with_workers(&self, antennas: &[&[Complex32]], workers: usize) -> Vec<DecodedPacket> {
-        let _ = workers;
-        self.decode(antennas)
-    }
-
-    /// Decodes the trace while recording pipeline observability into
-    /// `metrics`. TnB-family schemes run their instrumented pipeline and
+    /// Decodes the trace with up to `workers` threads while recording
+    /// pipeline observability into `metrics`. TnB-family schemes run
+    /// their instrumented pipeline (same output for any worker count) and
     /// return the per-trace [`DecodeReport`]; the default (baselines
-    /// without an instrumented pipeline) decodes normally, records
-    /// nothing, and returns `None`.
+    /// without an instrumented pipeline) ignores both knobs, decodes
+    /// normally, records nothing, and returns `None`.
     fn decode_observed(
         &self,
         antennas: &[&[Complex32]],
         workers: usize,
         metrics: &PipelineMetrics,
     ) -> (Vec<DecodedPacket>, Option<DecodeReport>) {
-        let _ = metrics;
-        (self.decode_with_workers(antennas, workers), None)
+        let _ = (workers, metrics);
+        (self.decode(antennas), None)
     }
 }
 
@@ -163,7 +156,6 @@ impl SchemeKind {
 
 /// TnB-family schemes wrap the receiver directly.
 struct TnbScheme {
-    rx: TnbReceiver,
     params: LoRaParams,
     cfg: TnbConfig,
     name: &'static str,
@@ -171,12 +163,7 @@ struct TnbScheme {
 
 impl TnbScheme {
     fn new(params: LoRaParams, cfg: TnbConfig, name: &'static str) -> Self {
-        TnbScheme {
-            rx: TnbReceiver::with_config(params, cfg),
-            params,
-            cfg,
-            name,
-        }
+        TnbScheme { params, cfg, name }
     }
 }
 
@@ -185,13 +172,8 @@ impl Scheme for TnbScheme {
         self.name
     }
     fn decode(&self, antennas: &[&[Complex32]]) -> Vec<DecodedPacket> {
-        self.rx.decode_multi(antennas)
-    }
-    fn decode_with_workers(&self, antennas: &[&[Complex32]], workers: usize) -> Vec<DecodedPacket> {
-        if workers <= 1 {
-            return self.decode(antennas);
-        }
-        ParallelReceiver::with_config(self.params, self.cfg, workers).decode_multi(antennas)
+        self.decode_observed(antennas, 1, &PipelineMetrics::disabled())
+            .0
     }
     fn decode_observed(
         &self,
@@ -199,12 +181,9 @@ impl Scheme for TnbScheme {
         workers: usize,
         metrics: &PipelineMetrics,
     ) -> (Vec<DecodedPacket>, Option<DecodeReport>) {
-        let (decoded, report) = if workers <= 1 {
-            self.rx.decode_multi_report_observed(antennas, metrics)
-        } else {
-            ParallelReceiver::with_config(self.params, self.cfg, workers)
-                .decode_multi_report_observed(antennas, metrics)
-        };
+        let (decoded, report) = TnbReceiver::with_config(self.params, self.cfg)
+            .with_workers(workers)
+            .decode_multi_report_observed(antennas, metrics);
         (decoded, Some(report))
     }
 }

@@ -7,7 +7,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use tnb_channel::trace::{PacketConfig, TraceBuilder};
 use tnb_core::detect::Detector;
 use tnb_core::sync::{fractional_sync, SyncConfig};
-use tnb_core::{ParallelReceiver, TnbReceiver};
+use tnb_core::TnbReceiver;
 use tnb_phy::demodulate::Demodulator;
 use tnb_phy::{CodingRate, LoRaParams, SpreadingFactor};
 
@@ -99,7 +99,7 @@ fn bench_full_decode(c: &mut Criterion) {
 }
 
 /// Eight staggered packets in well-separated clusters — the workload the
-/// parallel receiver fans out.
+/// receiver fans out over its workers.
 fn staggered_trace(seed: u64, n: usize) -> tnb_channel::trace::Trace {
     let p = params();
     let l = p.samples_per_symbol();
@@ -128,7 +128,9 @@ fn bench_parallel_decode(c: &mut Criterion) {
         b.iter(|| serial.decode(std::hint::black_box(trace.samples())));
     });
     for workers in [2usize, 4] {
-        let rx = ParallelReceiver::new(p, workers).with_max_payload_len(16);
+        let rx = TnbReceiver::new(p)
+            .with_workers(workers)
+            .with_max_payload_len(16);
         g.bench_function(format!("workers_{workers}_8_packets"), |b| {
             b.iter(|| rx.decode(std::hint::black_box(trace.samples())));
         });

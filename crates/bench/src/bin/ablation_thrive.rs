@@ -7,6 +7,7 @@ use tnb_bench::{ExpArgs, TablePrinter};
 use tnb_core::packet::DecodedPacket;
 use tnb_core::receiver::{TnbConfig, TnbReceiver};
 use tnb_core::thrive::ThriveConfig;
+use tnb_core::PipelineMetrics;
 use tnb_dsp::Complex32;
 use tnb_phy::{CodingRate, LoRaParams, SpreadingFactor};
 use tnb_sim::{build_experiment, run_scheme, Deployment, ExperimentConfig};
@@ -21,7 +22,9 @@ impl Scheme for CustomTnb {
         "TnB(custom)"
     }
     fn decode(&self, antennas: &[&[Complex32]]) -> Vec<DecodedPacket> {
-        self.rx.decode_multi(antennas)
+        self.rx
+            .decode_multi_report_observed(antennas, &PipelineMetrics::disabled())
+            .0
     }
 }
 

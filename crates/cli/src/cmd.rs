@@ -6,7 +6,7 @@ use tnb_channel::trace::{PacketConfig, TraceBuilder};
 use tnb_channel::FaultPlan;
 use tnb_core::streaming::{StreamingConfig, StreamingReceiver};
 use tnb_core::{
-    DecodeReport, DegradeReason, MetricsSnapshot, ParallelReceiver, Stage, TnbConfig, TnbReceiver,
+    DecodeReport, DegradeReason, MetricsSnapshot, PipelineMetrics, Stage, TnbConfig, TnbReceiver,
 };
 use tnb_phy::{CodingRate, LoRaParams, SpreadingFactor};
 use tnb_sim::traffic::parse_payload;
@@ -194,7 +194,8 @@ pub fn decode(args: &[String]) -> Result<(), String> {
         return decode_wideband(params, &samples, workers.max(1));
     }
     let scheme = kind.build(params);
-    let decoded = scheme.decode_with_workers(&[&samples], workers.max(1));
+    let (decoded, _) =
+        scheme.decode_observed(&[&samples], workers.max(1), &PipelineMetrics::disabled());
 
     println!("node   seq    SNR(dB)  start(s)  CFO(Hz)");
     for d in &decoded {
@@ -269,7 +270,8 @@ pub fn compare(args: &[String]) -> Result<(), String> {
     for kind in SchemeKind::ALL {
         let scheme = kind.build(params);
         let n = scheme
-            .decode_with_workers(&[&samples], workers.max(1))
+            .decode_observed(&[&samples], workers.max(1), &PipelineMetrics::disabled())
+            .0
             .len();
         println!("{:<14} {:>8}", scheme.name(), n);
     }
@@ -357,11 +359,11 @@ pub fn report(args: &[String]) -> Result<(), String> {
     };
     let workers: usize = flags.parse_or("--workers", 1usize)?.max(1);
     let cfg = parse_tnb_config(&flags);
-    let (decoded, report, snapshot) = if workers > 1 {
-        ParallelReceiver::with_config(params, cfg, workers).decode_with_metrics(&samples)
-    } else {
-        TnbReceiver::with_config(params, cfg).decode_with_metrics(&samples)
-    };
+    let metrics = PipelineMetrics::enabled();
+    let (decoded, report) = TnbReceiver::with_config(params, cfg)
+        .with_workers(workers)
+        .decode_multi_report_observed(&[&samples], &metrics);
+    let snapshot = metrics.snapshot();
 
     if flags.has("--json") {
         println!("{}", report_json(workers, &report, &snapshot));
@@ -426,8 +428,9 @@ struct FaultRow {
 }
 
 /// Decodes `samples` with one receiver flavour, returning packet count
-/// and the full report. Streaming pushes in 64k-sample chunks to
-/// exercise the chunk-boundary path.
+/// and the full report: `serial` is the batch receiver at one worker,
+/// `parallel` at `workers`, and `streaming` pushes in 64k-sample chunks
+/// to exercise the chunk-boundary path.
 fn decode_flavour(
     flavour: &'static str,
     params: LoRaParams,
@@ -435,31 +438,25 @@ fn decode_flavour(
     workers: usize,
     samples: &[tnb_dsp::Complex32],
 ) -> (usize, DecodeReport) {
-    match flavour {
-        "parallel" => {
-            let (d, r, _) =
-                ParallelReceiver::with_config(params, cfg, workers).decode_with_metrics(samples);
-            (d.len(), r)
+    if flavour == "streaming" {
+        let cfg = StreamingConfig {
+            receiver: cfg,
+            workers,
+            ..Default::default()
+        };
+        let mut rx = StreamingReceiver::with_config(params, cfg);
+        let mut n = 0;
+        for chunk in samples.chunks(65_536) {
+            n += rx.push(chunk).len();
         }
-        "streaming" => {
-            let cfg = StreamingConfig {
-                receiver: cfg,
-                workers,
-                ..Default::default()
-            };
-            let mut rx = StreamingReceiver::with_config(params, cfg);
-            let mut n = 0;
-            for chunk in samples.chunks(65_536) {
-                n += rx.push(chunk).len();
-            }
-            n += rx.finish().len();
-            (n, rx.report())
-        }
-        _ => {
-            let (d, r, _) = TnbReceiver::with_config(params, cfg).decode_with_metrics(samples);
-            (d.len(), r)
-        }
+        n += rx.finish().len();
+        return (n, rx.report());
     }
+    let workers = if flavour == "serial" { 1 } else { workers };
+    let (d, r) = TnbReceiver::with_config(params, cfg)
+        .with_workers(workers)
+        .decode_with_report(samples);
+    (d.len(), r)
 }
 
 /// Renders the fault matrix as a JSON array of row objects.
@@ -1191,7 +1188,9 @@ mod tests {
         // JSON path: check the object carries every stage plus timings.
         let params = LoRaParams::new(SpreadingFactor::SF8, CodingRate::CR4);
         let samples = demo_collision(params, 7);
-        let (_, rep, snap) = TnbReceiver::new(params).decode_with_metrics(&samples);
+        let metrics = PipelineMetrics::enabled();
+        let (_, rep) = TnbReceiver::new(params).decode_multi_report_observed(&[&samples], &metrics);
+        let snap = metrics.snapshot();
         let json = report_json(1, &rep, &snap);
         for key in [
             "\"detect\"",
@@ -1248,8 +1247,10 @@ mod tests {
     fn report_parallel_counters_match_serial() {
         let params = LoRaParams::new(SpreadingFactor::SF8, CodingRate::CR4);
         let samples = demo_collision(params, 7);
-        let (_, serial, _) = TnbReceiver::new(params).decode_with_metrics(&samples);
-        let (_, par, _) = ParallelReceiver::new(params, 4).decode_with_metrics(&samples);
+        let (_, serial) = TnbReceiver::new(params).decode_with_report(&samples);
+        let (_, par) = TnbReceiver::new(params)
+            .with_workers(4)
+            .decode_with_report(&samples);
         assert_eq!(serial.stages, par.stages);
     }
 

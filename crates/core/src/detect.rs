@@ -15,6 +15,7 @@
 //! Step 4 (fractional timing/CFO) lives in [`crate::sync`].
 
 use crate::packet::{same_transmission, DetectedPacket};
+use crate::parallel::fan_out;
 use crate::sync::{fractional_sync_observed, SyncConfig};
 
 use tnb_dsp::{find_peaks, Complex32, DspScratch, PeakFinderConfig};
@@ -116,114 +117,42 @@ impl Detector {
         metrics: &PipelineMetrics,
         counters: &mut StageCounters,
     ) -> Vec<DetectedPacket> {
+        self.detect_parallel_observed(samples, 1, scratch, metrics, counters)
+    }
+
+    /// [`Self::detect_observed`] with preamble validation fanned out over
+    /// `workers` threads. The scan pass is a single cheap sweep and stays
+    /// on `scratch`; validation — five candidate alignments plus the
+    /// 36-point fractional search per run — dominates detection cost and
+    /// parallelizes per run. Results and counters are identical for any
+    /// worker count: validated candidates are deduplicated in scan order.
+    pub fn detect_parallel_observed(
+        &self,
+        samples: &[Complex32],
+        workers: usize,
+        scratch: &mut DspScratch,
+        metrics: &PipelineMetrics,
+        counters: &mut StageCounters,
+    ) -> Vec<DetectedPacket> {
         counters.detect_windows += (samples.len() / self.params.samples_per_symbol()) as u64;
         let t0 = metrics.now();
         let runs = self.scan_preambles(samples, scratch);
         metrics.record_span(Stage::Detect, t0);
         counters.detect_runs += runs.len() as u64;
+        // A validation worker that panics forfeits its runs (they stay
+        // unvalidated) instead of taking the whole pipeline down.
+        let validated = fan_out(runs.len(), workers, scratch, metrics, |i, scratch, m| {
+            let mut c = StageCounters::default();
+            let p = self.validate_and_sync(samples, &runs[i], scratch, m, &mut c);
+            (p, c)
+        });
         let mut out: Vec<DetectedPacket> = Vec::new();
-        for run in runs {
-            if std::env::var("TNB_DEBUG_DETECT").is_ok() {
-                eprintln!(
-                    "DBG run first_window={} bin={} len={}",
-                    run.first_window, run.bin, run.len
-                );
-            }
-            if let Some(p) = self.validate_and_sync(samples, &run, scratch, metrics, counters) {
+        for (p, c) in validated.into_iter().flatten() {
+            counters.absorb(&c);
+            if let Some(p) = p {
                 if merge_dedup(&mut out, p, self.params.samples_per_symbol() as f64) {
                     counters.detect_duplicates += 1;
                 }
-            }
-        }
-        out.sort_by(|a, b| a.start.total_cmp(&b.start));
-        out
-    }
-
-    /// [`Self::detect`] with preamble validation fanned out over
-    /// `workers` threads (each with its own scratch). The scan pass is a
-    /// single cheap sweep and stays serial; validation — five candidate
-    /// alignments plus the 36-point fractional search per run — dominates
-    /// detection cost and parallelizes per run. Results are identical to
-    /// the serial path: candidates are deduplicated in scan order, exactly
-    /// as [`Self::detect`] does.
-    pub fn detect_parallel(&self, samples: &[Complex32], workers: usize) -> Vec<DetectedPacket> {
-        let metrics = PipelineMetrics::disabled();
-        let mut counters = StageCounters::default();
-        self.detect_parallel_observed(samples, workers, &metrics, &mut counters)
-    }
-
-    /// [`Self::detect_parallel`] with observability. Each validation
-    /// worker records into its own [`PipelineMetrics`] and
-    /// [`StageCounters`], merged after join; merges are commutative sums,
-    /// so the totals equal the serial path's regardless of scheduling.
-    pub fn detect_parallel_observed(
-        &self,
-        samples: &[Complex32],
-        workers: usize,
-        metrics: &PipelineMetrics,
-        counters: &mut StageCounters,
-    ) -> Vec<DetectedPacket> {
-        let workers = workers.max(1);
-        if workers == 1 {
-            let mut scratch = DspScratch::new();
-            return self.detect_observed(samples, &mut scratch, metrics, counters);
-        }
-        let mut scratch = DspScratch::new();
-        counters.detect_windows += (samples.len() / self.params.samples_per_symbol()) as u64;
-        let t0 = metrics.now();
-        let runs = self.scan_preambles(samples, &mut scratch);
-        metrics.record_span(Stage::Detect, t0);
-        counters.detect_runs += runs.len() as u64;
-        let enabled = metrics.is_enabled();
-        let mut validated: Vec<Option<DetectedPacket>> = vec![None; runs.len()];
-        let next = std::sync::atomic::AtomicUsize::new(0);
-        std::thread::scope(|s| {
-            let handles: Vec<_> = (0..workers.min(runs.len().max(1)))
-                .map(|_| {
-                    s.spawn(|| {
-                        let mut scratch = DspScratch::new();
-                        let wm = if enabled {
-                            PipelineMetrics::enabled()
-                        } else {
-                            PipelineMetrics::disabled()
-                        };
-                        let mut wc = StageCounters::default();
-                        let mut local: Vec<(usize, DetectedPacket)> = Vec::new();
-                        loop {
-                            let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                            if i >= runs.len() {
-                                break;
-                            }
-                            if let Some(p) = self.validate_and_sync(
-                                samples,
-                                &runs[i],
-                                &mut scratch,
-                                &wm,
-                                &mut wc,
-                            ) {
-                                local.push((i, p));
-                            }
-                        }
-                        (local, wm, wc)
-                    })
-                })
-                .collect();
-            for h in handles {
-                // A panicking validation worker forfeits its runs (they stay
-                // unvalidated) instead of taking the whole pipeline down.
-                if let Ok((local, wm, wc)) = h.join() {
-                    metrics.absorb(&wm);
-                    counters.absorb(&wc);
-                    for (i, p) in local {
-                        validated[i] = Some(p);
-                    }
-                }
-            }
-        });
-        let mut out: Vec<DetectedPacket> = Vec::new();
-        for p in validated.into_iter().flatten() {
-            if merge_dedup(&mut out, p, self.params.samples_per_symbol() as f64) {
-                counters.detect_duplicates += 1;
             }
         }
         out.sort_by(|a, b| a.start.total_cmp(&b.start));
@@ -429,28 +358,12 @@ impl Detector {
                 }
             }
             let Some((score, x2)) = best_down else {
-                if std::env::var("TNB_DEBUG_DETECT").is_ok() {
-                    eprintln!(
-                        "DBG k={k} x1={x1} up_h={up_h:.0} no consistent down peak: a={:?} b={:?}",
-                        down_a
-                            .iter()
-                            .map(|p| (p.index, p.height as i64))
-                            .collect::<Vec<_>>(),
-                        down_b
-                            .iter()
-                            .map(|p| (p.index, p.height as i64))
-                            .collect::<Vec<_>>()
-                    );
-                }
                 continue;
             };
             // Downchirp height vs upchirp height must be comparable — a
             // spurious "downchirp" from noise or a colliding upchirp is
             // weak.
             if score < up_h * 0.2 {
-                if std::env::var("TNB_DEBUG_DETECT").is_ok() {
-                    eprintln!("DBG k={k} score {score:.0} < 0.2*up_h {up_h:.0}");
-                }
                 continue;
             }
             let c2 = center(x2, n);
@@ -462,9 +375,6 @@ impl Detector {
             }
         }
 
-        if std::env::var("TNB_DEBUG_DETECT").is_ok() {
-            eprintln!("DBG best={:?}", best.map(|(s, st, c)| (s as i64, st, c)));
-        }
         let (_, s_coarse, cfo_est) = best?;
         if s_coarse < 0 {
             return None;

@@ -3,11 +3,20 @@
 //! Pipeline (paper Fig. 3): packet detection → per-packet signal-vector
 //! calculation → **Thrive** peak assignment → **BEC** block error
 //! correction, composed into [`TnbReceiver`].
+//!
+//! The receiver has three decode methods:
+//! [`decode`](TnbReceiver::decode) (packets of one antenna),
+//! [`decode_with_report`](TnbReceiver::decode_with_report) (plus the
+//! per-packet [`DecodeReport`]) and
+//! [`decode_multi_report_observed`](TnbReceiver::decode_multi_report_observed)
+//! (any number of antennas, with a caller-owned [`PipelineMetrics`]
+//! sink). [`TnbReceiver::with_workers`] sets the decode thread count;
+//! the output is byte-identical for any count.
 
 pub mod bec;
 pub mod detect;
 pub mod packet;
-pub mod parallel;
+mod parallel;
 pub mod receiver;
 pub mod sic;
 pub mod sigcalc;
@@ -22,7 +31,6 @@ pub use tnb_metrics as metrics;
 
 pub use detect::{Detector, DetectorConfig};
 pub use packet::{same_transmission, DecodedPacket, DetectedPacket};
-pub use parallel::ParallelReceiver;
 pub use receiver::{DecodeOutcome, DecodeReport, DegradeReason, TnbConfig, TnbReceiver};
 pub use sic::SicConfig;
 pub use streaming::{StreamingConfig, StreamingReceiver};

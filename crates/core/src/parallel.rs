@@ -1,5 +1,6 @@
-//! Parallel batched decoding: detection, then independent per-cluster
-//! decode work items fanned out over scoped worker threads.
+//! Work decomposition behind [`TnbReceiver`](crate::TnbReceiver):
+//! overlap clusters of detected packets and the scoped-thread fan-out
+//! that decodes them (and, in detection, validates preamble runs).
 //!
 //! # Why clusters are safe work items
 //!
@@ -18,323 +19,114 @@
 //! horizon (the longest possible packet plus one symbol of masking
 //! margin) and decodes each component independently. Every worker owns a
 //! [`DspScratch`], and results are merged back in cluster order — i.e.
-//! by packet start sample — so the output is byte-identical to the
-//! serial [`TnbReceiver`] regardless of worker count or scheduling.
+//! by packet start sample — so the output is byte-identical to one
+//! whole-trace decode regardless of worker count or scheduling.
 
-use crate::detect::{merge_dedup, Detector};
 use crate::packet::{DecodedPacket, DetectedPacket};
-use crate::receiver::{DecodeOutcome, DecodeReport, DegradeReason, TnbConfig, TnbReceiver};
+use crate::receiver::{DecodeOutcome, DecodeReport, DegradeReason};
 use std::ops::Range;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use tnb_dsp::{Complex32, DspScratch};
-use tnb_metrics::{MetricsSnapshot, PipelineMetrics, StageCounters};
+use tnb_dsp::DspScratch;
+use tnb_metrics::PipelineMetrics;
 use tnb_phy::block;
-use tnb_phy::demodulate::Demodulator;
 use tnb_phy::params::{CodingRate, LoRaParams};
 
 /// Largest payload a LoRa header can announce (`payload_len` is a byte).
-const MAX_PAYLOAD_LEN: usize = 255;
+pub(crate) const MAX_PAYLOAD_LEN: usize = 255;
 
-/// A [`TnbReceiver`] that fans independent decode work over worker
-/// threads. With one worker it degenerates to the serial pipeline; with
-/// more it produces the same bytes, faster.
-#[derive(Debug)]
-pub struct ParallelReceiver {
-    params: LoRaParams,
-    cfg: TnbConfig,
+/// Runs `work` on every item index in `0..items` and returns the results
+/// in item order. With one worker (or at most one item) the items run
+/// inline on the caller's scratch and metrics sink; otherwise up to
+/// `workers` scoped threads claim items from a shared counter, each with
+/// its own [`DspScratch`] and [`PipelineMetrics`] (absorbed into
+/// `metrics` after join — commutative sums, so totals do not depend on
+/// scheduling). A worker that dies outside `work` forfeits the items it
+/// claimed: their slots stay `None` instead of taking the batch down.
+pub(crate) fn fan_out<T: Send>(
+    items: usize,
     workers: usize,
-    /// Upper bound on payload length used for the clustering horizon.
-    max_payload_len: usize,
-}
-
-impl ParallelReceiver {
-    /// Builds a parallel receiver with default (full TnB) configuration.
-    /// `workers` is clamped to at least 1.
-    pub fn new(params: LoRaParams, workers: usize) -> Self {
-        Self::with_config(params, TnbConfig::default(), workers)
-    }
-
-    /// Builds a parallel receiver with a custom receiver configuration.
-    pub fn with_config(params: LoRaParams, cfg: TnbConfig, workers: usize) -> Self {
-        ParallelReceiver {
-            params,
-            cfg,
-            workers: workers.max(1),
-            max_payload_len: MAX_PAYLOAD_LEN,
-        }
-    }
-
-    /// Tightens the clustering horizon for deployments whose payloads are
-    /// known to be at most `len` bytes (e.g. fixed-format sensor fleets).
-    /// A tighter horizon splits dense traffic into more, smaller work
-    /// items. `len` must cover every packet actually on the air: a longer
-    /// packet would couple clusters this receiver treats as independent.
-    pub fn with_max_payload_len(mut self, len: usize) -> Self {
-        self.max_payload_len = len.clamp(1, MAX_PAYLOAD_LEN);
-        self
-    }
-
-    /// Number of worker threads used for validation and decoding.
-    pub fn workers(&self) -> usize {
-        self.workers
-    }
-
-    /// Decodes a single-antenna trace.
-    pub fn decode(&self, samples: &[Complex32]) -> Vec<DecodedPacket> {
-        self.decode_multi_report(&[samples]).0
-    }
-
-    /// Like [`Self::decode`], additionally returning the merged
-    /// [`DecodeReport`].
-    pub fn decode_with_report(&self, samples: &[Complex32]) -> (Vec<DecodedPacket>, DecodeReport) {
-        self.decode_multi_report(&[samples])
-    }
-
-    /// Decodes a multi-antenna trace.
-    pub fn decode_multi(&self, antennas: &[&[Complex32]]) -> Vec<DecodedPacket> {
-        self.decode_multi_report(antennas).0
-    }
-
-    /// Full parallel pipeline: per-antenna detection (preamble validation
-    /// fanned over workers), candidate merge, then per-cluster decoding.
-    /// Mirrors [`TnbReceiver::decode_multi`] exactly.
-    pub fn decode_multi_report(
-        &self,
-        antennas: &[&[Complex32]],
-    ) -> (Vec<DecodedPacket>, DecodeReport) {
-        let metrics = PipelineMetrics::disabled();
-        self.decode_multi_report_observed(antennas, &metrics)
-    }
-
-    /// [`Self::decode`] with full observability: metrics are recorded
-    /// per worker thread and merged after join (commutative sums), so the
-    /// aggregate counters equal the serial receiver's.
-    pub fn decode_with_metrics(
-        &self,
-        samples: &[Complex32],
-    ) -> (Vec<DecodedPacket>, DecodeReport, MetricsSnapshot) {
-        self.decode_multi_with_metrics(&[samples])
-    }
-
-    /// Multi-antenna [`Self::decode_with_metrics`].
-    pub fn decode_multi_with_metrics(
-        &self,
-        antennas: &[&[Complex32]],
-    ) -> (Vec<DecodedPacket>, DecodeReport, MetricsSnapshot) {
-        let metrics = PipelineMetrics::enabled();
-        let (decoded, report) = self.decode_multi_report_observed(antennas, &metrics);
-        (decoded, report, metrics.snapshot())
-    }
-
-    /// The full parallel decode with an externally owned metrics sink.
-    pub fn decode_multi_report_observed(
-        &self,
-        antennas: &[&[Complex32]],
-        metrics: &PipelineMetrics,
-    ) -> (Vec<DecodedPacket>, DecodeReport) {
-        if antennas.is_empty() {
-            return (Vec::new(), DecodeReport::default());
-        }
-        let detector = Detector::with_config(self.params, self.cfg.detector);
-        let l = self.params.samples_per_symbol() as f64;
-        let mut counters = StageCounters::default();
-        let mut detected: Vec<DetectedPacket> = Vec::new();
-        for ant in antennas {
-            for p in detector.detect_parallel_observed(ant, self.workers, metrics, &mut counters) {
-                if merge_dedup(&mut detected, p, l) {
-                    counters.detect_duplicates += 1;
-                }
-            }
-        }
-        detected.sort_by(|a, b| a.start.total_cmp(&b.start));
-        let (decoded, mut report) =
-            self.decode_detected_observed(&detected, detector.demodulator(), antennas, metrics);
-        report.stages.absorb(&counters);
-        (decoded, report)
-    }
-
-    /// Decodes pre-detected packets over worker threads. `detected` must
-    /// be sorted by start sample (as the detection pass returns it).
-    pub fn decode_detected_report(
-        &self,
-        detected: &[DetectedPacket],
-        demod: &Demodulator,
-        antennas: &[&[Complex32]],
-    ) -> (Vec<DecodedPacket>, DecodeReport) {
-        let metrics = PipelineMetrics::disabled();
-        self.decode_detected_observed(detected, demod, antennas, &metrics)
-    }
-
-    /// [`Self::decode_detected_report`] with an observability sink: each
-    /// worker records into its own [`PipelineMetrics`], absorbed into
-    /// `metrics` after join.
-    pub fn decode_detected_observed(
-        &self,
-        detected: &[DetectedPacket],
-        demod: &Demodulator,
-        antennas: &[&[Complex32]],
-        metrics: &PipelineMetrics,
-    ) -> (Vec<DecodedPacket>, DecodeReport) {
-        let clusters = self.clusters(detected);
-        let workers = self.workers.min(clusters.len()).max(1);
-        if metrics.is_enabled() {
-            metrics.clusters.set(clusters.len() as f64);
-            metrics.workers.set(workers as f64);
-        }
-
-        if workers == 1 {
-            // One worker: decode the same work items inline, one scratch.
-            let rx = TnbReceiver::with_config(self.params, self.cfg);
-            let mut scratch = DspScratch::new();
-            let mut all = Vec::new();
-            let mut total = DecodeReport::default();
-            for c in &clusters {
-                let (d, r) = decode_cluster_guarded(
-                    &rx,
-                    &detected[c.clone()],
-                    demod,
-                    antennas,
-                    &mut scratch,
-                    metrics,
-                );
-                all.extend(d);
-                total.absorb(&r);
-            }
-            return (all, total);
-        }
-
-        let enabled = metrics.is_enabled();
-        let next = AtomicUsize::new(0);
-        let mut results: Vec<Option<(Vec<DecodedPacket>, DecodeReport)>> = Vec::new();
-        results.resize_with(clusters.len(), || None);
-        std::thread::scope(|s| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    s.spawn(|| {
-                        // Each worker owns a receiver (the report slot is
-                        // interior-mutable, so receivers are not shared),
-                        // a scratch reused across its work items, and a
-                        // metrics sink merged after join.
-                        let rx = TnbReceiver::with_config(self.params, self.cfg);
-                        let mut scratch = DspScratch::new();
-                        let wm = if enabled {
-                            PipelineMetrics::enabled()
-                        } else {
-                            PipelineMetrics::disabled()
-                        };
-                        let mut local = Vec::new();
-                        loop {
-                            let i = next.fetch_add(1, Ordering::Relaxed);
-                            if i >= clusters.len() {
-                                break;
-                            }
-                            local.push((
-                                i,
-                                decode_cluster_guarded(
-                                    &rx,
-                                    &detected[clusters[i].clone()],
-                                    demod,
-                                    antennas,
-                                    &mut scratch,
-                                    &wm,
-                                ),
-                            ));
-                        }
-                        (local, wm)
-                    })
-                })
-                .collect();
-            for h in handles {
-                // A worker dying outside the per-cluster guard (it should
-                // not — every decode is wrapped) must not abort the batch:
-                // its claimed-but-unreported clusters stay `None` and are
-                // backfilled as degraded below.
-                if let Ok((local, wm)) = h.join() {
-                    metrics.absorb(&wm);
-                    for (i, r) in local {
-                        results[i] = Some(r);
-                    }
-                }
-            }
-        });
-
-        // Deterministic merge: clusters are disjoint start-sample ranges
-        // in ascending order, so concatenating in cluster order yields
-        // the same packet order as the serial receiver.
-        let mut all = Vec::new();
-        let mut total = DecodeReport::default();
-        for (slot, ci) in results.into_iter().zip(&clusters) {
-            let (d, r) = slot.unwrap_or_else(|| degraded_cluster(&detected[ci.clone()]));
-            all.extend(d);
-            total.absorb(&r);
-        }
-        (all, total)
-    }
-
-    /// Groups start-sorted detections into connected components under the
-    /// overlap horizon: a new cluster starts whenever a packet begins
-    /// after every earlier packet's span has ended.
-    fn clusters(&self, detected: &[DetectedPacket]) -> Vec<Range<usize>> {
-        let horizon = self.horizon_samples();
-        let mut out = Vec::new();
-        let mut begin = 0usize;
-        let mut max_end = f64::NEG_INFINITY;
-        for (i, p) in detected.iter().enumerate() {
-            if i > begin && p.start >= max_end {
-                out.push(begin..i);
-                begin = i;
-                max_end = f64::NEG_INFINITY;
-            }
-            max_end = max_end.max(p.start + horizon);
-        }
-        if begin < detected.len() {
-            out.push(begin..detected.len());
-        }
-        out
-    }
-
-    /// Conservative packet span in samples: preamble plus the longest
-    /// possible payload at the most redundant coding rate, plus one
-    /// symbol of masking margin (known-peak masks reach `< l` beyond a
-    /// packet's own windows).
-    fn horizon_samples(&self) -> f64 {
-        let mut p = self.params;
-        p.cr = CodingRate::CR4;
-        let syms =
-            p.preamble_symbols() + block::data_symbol_count(self.max_payload_len, &p) as f64 + 1.0;
-        syms * p.samples_per_symbol() as f64
-    }
-}
-
-/// Decodes one cluster with a panic backstop: if anything inside the
-/// decode unwinds (a defect, not expected in normal operation), the
-/// cluster's packets are reported [`DegradeReason::WorkerPanic`] and the
-/// rest of the batch continues. The scratch is replaced after a panic —
-/// its buffers may be mid-mutation.
-fn decode_cluster_guarded(
-    rx: &TnbReceiver,
-    cluster: &[DetectedPacket],
-    demod: &Demodulator,
-    antennas: &[&[Complex32]],
     scratch: &mut DspScratch,
     metrics: &PipelineMetrics,
-) -> (Vec<DecodedPacket>, DecodeReport) {
-    let result = catch_unwind(AssertUnwindSafe(|| {
-        rx.decode_detected_observed(cluster, demod, antennas, scratch, metrics)
-    }));
-    match result {
-        Ok(r) => r,
-        Err(_) => {
-            *scratch = DspScratch::new();
-            degraded_cluster(cluster)
-        }
+    work: impl Fn(usize, &mut DspScratch, &PipelineMetrics) -> T + Sync,
+) -> Vec<Option<T>> {
+    if workers <= 1 || items <= 1 {
+        return (0..items)
+            .map(|i| Some(work(i, scratch, metrics)))
+            .collect();
     }
+    let enabled = metrics.is_enabled();
+    let next = AtomicUsize::new(0);
+    let mut results: Vec<Option<T>> = Vec::new();
+    results.resize_with(items, || None);
+    std::thread::scope(|s| {
+        let handles: Vec<_> = (0..workers.min(items))
+            .map(|_| {
+                s.spawn(|| {
+                    let mut scratch = DspScratch::new();
+                    let wm = if enabled {
+                        PipelineMetrics::enabled()
+                    } else {
+                        PipelineMetrics::disabled()
+                    };
+                    let mut local = Vec::new();
+                    loop {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        if i >= items {
+                            break;
+                        }
+                        local.push((i, work(i, &mut scratch, &wm)));
+                    }
+                    (local, wm)
+                })
+            })
+            .collect();
+        for h in handles {
+            if let Ok((local, wm)) = h.join() {
+                metrics.absorb(&wm);
+                for (i, r) in local {
+                    results[i] = Some(r);
+                }
+            }
+        }
+    });
+    results
+}
+
+/// Groups start-sorted detections into connected components under the
+/// overlap horizon: a new cluster starts whenever a packet begins after
+/// every earlier packet's span has ended.
+pub(crate) fn clusters(detected: &[DetectedPacket], horizon: f64) -> Vec<Range<usize>> {
+    let mut out = Vec::new();
+    let mut begin = 0usize;
+    let mut max_end = f64::NEG_INFINITY;
+    for (i, p) in detected.iter().enumerate() {
+        if i > begin && p.start >= max_end {
+            out.push(begin..i);
+            begin = i;
+            max_end = f64::NEG_INFINITY;
+        }
+        max_end = max_end.max(p.start + horizon);
+    }
+    if begin < detected.len() {
+        out.push(begin..detected.len());
+    }
+    out
+}
+
+/// Conservative packet span in samples: preamble plus the longest
+/// possible payload (`max_payload_len` bytes) at the most redundant
+/// coding rate, plus one symbol of masking margin (known-peak masks
+/// reach `< l` beyond a packet's own windows).
+pub(crate) fn horizon_samples(params: LoRaParams, max_payload_len: usize) -> f64 {
+    let mut p = params;
+    p.cr = CodingRate::CR4;
+    let syms = p.preamble_symbols() + block::data_symbol_count(max_payload_len, &p) as f64 + 1.0;
+    syms * p.samples_per_symbol() as f64
 }
 
 /// The report for a cluster whose decode never completed: nothing
 /// decoded, every detection degraded with [`DegradeReason::WorkerPanic`].
-fn degraded_cluster(cluster: &[DetectedPacket]) -> (Vec<DecodedPacket>, DecodeReport) {
+pub(crate) fn degraded_cluster(cluster: &[DetectedPacket]) -> (Vec<DecodedPacket>, DecodeReport) {
     let report = DecodeReport {
         detected: cluster.len(),
         outcomes: cluster
@@ -362,35 +154,31 @@ mod tests {
         }
     }
 
-    fn rx() -> ParallelReceiver {
-        ParallelReceiver::new(LoRaParams::new(SpreadingFactor::SF8, CodingRate::CR1), 4)
-            .with_max_payload_len(16)
+    fn horizon() -> f64 {
+        horizon_samples(LoRaParams::new(SpreadingFactor::SF8, CodingRate::CR1), 16)
     }
 
     #[test]
     fn clusters_split_on_gaps() {
-        let rx = rx();
-        let h = rx.horizon_samples();
+        let h = horizon();
         let dets = [pkt(0.0), pkt(h / 2.0), pkt(h * 3.0), pkt(h * 10.0)];
-        let c = rx.clusters(&dets);
-        assert_eq!(c, vec![0..2, 2..3, 3..4]);
+        assert_eq!(clusters(&dets, h), vec![0..2, 2..3, 3..4]);
     }
 
     #[test]
     fn chained_overlaps_stay_together() {
-        let rx = rx();
-        let h = rx.horizon_samples();
+        let h = horizon();
         // Each packet overlaps only its neighbour; the chain is one
         // component.
         let dets = [pkt(0.0), pkt(h * 0.9), pkt(h * 1.8), pkt(h * 2.7)];
-        assert_eq!(rx.clusters(&dets), vec![0..4]);
+        assert_eq!(clusters(&dets, h), vec![0..4]);
     }
 
     #[test]
     fn empty_and_single_detections() {
-        let rx = rx();
-        assert!(rx.clusters(&[]).is_empty());
-        assert_eq!(rx.clusters(&[pkt(5000.0)]), vec![0..1]);
+        let h = horizon();
+        assert!(clusters(&[], h).is_empty());
+        assert_eq!(clusters(&[pkt(5000.0)], h), vec![0..1]);
     }
 
     #[test]
@@ -407,8 +195,6 @@ mod tests {
     #[test]
     fn tighter_payload_bound_shrinks_horizon() {
         let params = LoRaParams::new(SpreadingFactor::SF8, CodingRate::CR1);
-        let wide = ParallelReceiver::new(params, 2);
-        let tight = ParallelReceiver::new(params, 2).with_max_payload_len(16);
-        assert!(tight.horizon_samples() < wide.horizon_samples());
+        assert!(horizon_samples(params, 16) < horizon_samples(params, MAX_PAYLOAD_LEN));
     }
 }

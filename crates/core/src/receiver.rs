@@ -6,16 +6,19 @@
 use crate::bec;
 use crate::detect::{merge_dedup, Detector, DetectorConfig};
 use crate::packet::{same_transmission, DecodedPacket, DetectedPacket};
+use crate::parallel::{self, MAX_PAYLOAD_LEN};
 use crate::sic::{self, SicConfig};
 use crate::sigcalc::{estimate_snr_db, SigCalc};
 use crate::thrive::{
     assign_checkpoint_scratch, Assignment, CheckpointScratch, CheckpointSymbol, HistoryModel,
     ThriveConfig,
 };
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use tnb_dsp::{Complex32, DspScratch};
-use tnb_metrics::{MetricsSnapshot, PipelineMetrics, Stage, StageCounters};
+use tnb_metrics::{PipelineMetrics, Stage, StageCounters};
 use tnb_phy::block;
 use tnb_phy::decoder as phy_decoder;
+use tnb_phy::demodulate::Demodulator;
 use tnb_phy::header::Header;
 use tnb_phy::params::LoRaParams;
 
@@ -165,8 +168,8 @@ pub struct DecodeReport {
     pub outcomes: Vec<DecodeOutcome>,
     /// Deterministic per-stage event counts (windows scanned, sync
     /// attempts, signal vectors computed, peaks considered, CRC checks, …).
-    /// Identical between the serial and parallel receivers on the same
-    /// input; wall-time measurements live in [`MetricsSnapshot`] instead.
+    /// Identical for any worker count on the same input; wall-time
+    /// measurements live in [`tnb_metrics::MetricsSnapshot`] instead.
     pub stages: StageCounters,
 }
 
@@ -251,13 +254,19 @@ impl DecodeReport {
 }
 
 /// The TnB receiver.
+///
+/// Every decode runs one path: start-sorted detection, then overlap
+/// clusters of the detections, each decoded on its own — inline at one
+/// worker, on scoped threads at more. Packets interact only through time
+/// overlap, so the output is byte-identical for any worker count.
 #[derive(Debug)]
 pub struct TnbReceiver {
     params: LoRaParams,
     cfg: TnbConfig,
-    /// Diagnostics of the most recent decode (interior mutability keeps
-    /// the decode API `&self`).
-    last_report: std::cell::RefCell<Option<DecodeReport>>,
+    /// Threads for preamble validation and cluster decoding (≥ 1).
+    workers: usize,
+    /// Upper bound on payload length used for the clustering horizon.
+    max_payload_len: usize,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -311,57 +320,48 @@ impl TnbReceiver {
         TnbReceiver {
             params,
             cfg,
-            last_report: std::cell::RefCell::new(None),
+            workers: 1,
+            max_payload_len: MAX_PAYLOAD_LEN,
         }
+    }
+
+    /// Decodes with up to `workers` threads (clamped to at least 1; the
+    /// default 1 decodes inline). Output does not depend on the count.
+    pub fn with_workers(mut self, workers: usize) -> Self {
+        self.workers = workers.max(1);
+        self
+    }
+
+    /// Tightens the clustering horizon for deployments whose payloads are
+    /// known to be at most `len` bytes (e.g. fixed-format sensor fleets).
+    /// A tighter horizon splits dense traffic into more, smaller work
+    /// items. `len` must cover every packet actually on the air: a longer
+    /// packet would couple clusters this receiver treats as independent.
+    pub fn with_max_payload_len(mut self, len: usize) -> Self {
+        self.max_payload_len = len.clamp(1, MAX_PAYLOAD_LEN);
+        self
     }
 
     /// Decodes a single-antenna trace.
     pub fn decode(&self, samples: &[Complex32]) -> Vec<DecodedPacket> {
-        self.decode_multi(&[samples])
+        self.decode_with_report(samples).0
     }
 
     /// Like [`Self::decode`], additionally returning per-trace
     /// diagnostics.
     pub fn decode_with_report(&self, samples: &[Complex32]) -> (Vec<DecodedPacket>, DecodeReport) {
-        let decoded = self.decode_multi(&[samples]);
-        let report = self.last_report.borrow_mut().take().unwrap_or_default();
-        (decoded, report)
+        self.decode_multi_report_observed(&[samples], &PipelineMetrics::disabled())
     }
 
-    /// Decodes a multi-antenna trace. Detection runs on *every* antenna
-    /// and the candidate lists are merged — under fading this is where
-    /// antenna diversity pays (paper §8.5: "high channel fluctuations
-    /// result in a high outage probability for single antenna systems");
-    /// signal vectors are then summed over all antennas.
-    pub fn decode_multi(&self, antennas: &[&[Complex32]]) -> Vec<DecodedPacket> {
-        let metrics = PipelineMetrics::disabled();
-        let (decoded, report) = self.decode_multi_report_observed(antennas, &metrics);
-        *self.last_report.borrow_mut() = Some(report);
-        decoded
-    }
-
-    /// [`Self::decode`] with full observability: returns the decoded
-    /// packets, the per-trace report (including deterministic stage
-    /// counters) and a snapshot of the wall-time/distribution metrics.
-    pub fn decode_with_metrics(
-        &self,
-        samples: &[Complex32],
-    ) -> (Vec<DecodedPacket>, DecodeReport, MetricsSnapshot) {
-        self.decode_multi_with_metrics(&[samples])
-    }
-
-    /// Multi-antenna [`Self::decode_with_metrics`].
-    pub fn decode_multi_with_metrics(
-        &self,
-        antennas: &[&[Complex32]],
-    ) -> (Vec<DecodedPacket>, DecodeReport, MetricsSnapshot) {
-        let metrics = PipelineMetrics::enabled();
-        let (decoded, report) = self.decode_multi_report_observed(antennas, &metrics);
-        (decoded, report, metrics.snapshot())
-    }
-
-    /// The full decode with an externally owned metrics sink — the common
-    /// core of [`Self::decode_multi`] and [`Self::decode_with_metrics`].
+    /// The full decode of a (multi-antenna) trace with an externally
+    /// owned metrics sink: stage wall times and distributions go to
+    /// `metrics`, deterministic stage counters ride in the report.
+    ///
+    /// Detection runs on *every* antenna and the candidate lists are
+    /// merged — under fading this is where antenna diversity pays (paper
+    /// §8.5: "high channel fluctuations result in a high outage
+    /// probability for single antenna systems"); signal vectors are then
+    /// summed over all antennas.
     pub fn decode_multi_report_observed(
         &self,
         antennas: &[&[Complex32]],
@@ -372,73 +372,97 @@ impl TnbReceiver {
         }
         let mut scratch = DspScratch::new();
         let detector = Detector::with_config(self.params, self.cfg.detector);
-        let l = self.params.samples_per_symbol() as f64;
         let mut counters = StageCounters::default();
+        let detected = self.detect(&detector, antennas, &mut scratch, metrics, &mut counters);
+        let demod = detector.demodulator();
+
+        let clusters = parallel::clusters(
+            &detected,
+            parallel::horizon_samples(self.params, self.max_payload_len),
+        );
+        let workers = self.workers.min(clusters.len()).max(1);
+        if metrics.is_enabled() {
+            metrics.clusters.set(clusters.len() as f64);
+            metrics.workers.set(workers as f64);
+        }
+        let results =
+            parallel::fan_out(clusters.len(), workers, &mut scratch, metrics, |i, s, m| {
+                self.decode_cluster_guarded(&detected[clusters[i].clone()], demod, antennas, s, m)
+            });
+
+        // Deterministic merge: clusters are disjoint start-sample ranges
+        // in ascending order, so concatenating in cluster order yields
+        // start order for any worker count.
+        let mut decoded = Vec::new();
+        let mut report = DecodeReport::default();
+        for (slot, c) in results.into_iter().zip(&clusters) {
+            let (d, r) = slot.unwrap_or_else(|| parallel::degraded_cluster(&detected[c.clone()]));
+            decoded.extend(d);
+            report.absorb(&r);
+        }
+        report.stages.absorb(&counters);
+        (decoded, report)
+    }
+
+    /// Detection over every antenna, candidates merged across antennas
+    /// and sorted by start sample.
+    fn detect(
+        &self,
+        detector: &Detector,
+        antennas: &[&[Complex32]],
+        scratch: &mut DspScratch,
+        metrics: &PipelineMetrics,
+        counters: &mut StageCounters,
+    ) -> Vec<DetectedPacket> {
+        let l = self.params.samples_per_symbol() as f64;
         let mut detected: Vec<DetectedPacket> = Vec::new();
         for ant in antennas {
-            for p in detector.detect_observed(ant, &mut scratch, metrics, &mut counters) {
+            for p in
+                detector.detect_parallel_observed(ant, self.workers, scratch, metrics, counters)
+            {
                 if merge_dedup(&mut detected, p, l) {
                     counters.detect_duplicates += 1;
                 }
             }
         }
         detected.sort_by(|a, b| a.start.total_cmp(&b.start));
-        let (decoded, mut report) = self.decode_detected_observed(
-            &detected,
-            detector.demodulator(),
-            antennas,
-            &mut scratch,
-            metrics,
-        );
-        report.stages.absorb(&counters);
-        (decoded, report)
+        detected
     }
 
-    /// Decodes given pre-detected packets (used by the evaluation harness
-    /// to share detection across schemes).
-    pub fn decode_detected(
+    /// Decodes one cluster with a panic backstop: if anything inside the
+    /// decode unwinds (a defect, not expected in normal operation), the
+    /// cluster's packets are reported [`DegradeReason::WorkerPanic`] and
+    /// the rest of the batch continues. The scratch is replaced after a
+    /// panic — its buffers may be mid-mutation.
+    fn decode_cluster_guarded(
         &self,
-        detected: &[DetectedPacket],
-        demod: &tnb_phy::demodulate::Demodulator,
-        antennas: &[&[Complex32]],
-    ) -> Vec<DecodedPacket> {
-        let mut scratch = DspScratch::new();
-        let (decoded, report) =
-            self.decode_detected_report(detected, demod, antennas, &mut scratch);
-        *self.last_report.borrow_mut() = Some(report);
-        decoded
-    }
-
-    /// [`Self::decode_detected`] with a caller-owned [`DspScratch`],
-    /// returning the report directly instead of stashing it. This is the
-    /// worker-friendly entry point: it takes `&self` without touching the
-    /// receiver's interior-mutable report slot, and reuses the scratch's
-    /// buffers and pools across work items.
-    pub fn decode_detected_report(
-        &self,
-        detected: &[DetectedPacket],
-        demod: &tnb_phy::demodulate::Demodulator,
-        antennas: &[&[Complex32]],
-        scratch: &mut DspScratch,
-    ) -> (Vec<DecodedPacket>, DecodeReport) {
-        let metrics = PipelineMetrics::disabled();
-        self.decode_detected_observed(detected, demod, antennas, scratch, &metrics)
-    }
-
-    /// [`Self::decode_detected_report`] with an observability sink for
-    /// stage wall times and distributions; the deterministic stage
-    /// counters ride in the returned report.
-    pub fn decode_detected_observed(
-        &self,
-        detected: &[DetectedPacket],
-        demod: &tnb_phy::demodulate::Demodulator,
+        cluster: &[DetectedPacket],
+        demod: &Demodulator,
         antennas: &[&[Complex32]],
         scratch: &mut DspScratch,
         metrics: &PipelineMetrics,
     ) -> (Vec<DecodedPacket>, DecodeReport) {
-        if antennas.is_empty() {
-            return (Vec::new(), DecodeReport::default());
-        }
+        let result = catch_unwind(AssertUnwindSafe(|| {
+            self.decode_cluster(cluster, demod, antennas, scratch, metrics)
+        }));
+        result.unwrap_or_else(|_| {
+            *scratch = DspScratch::new();
+            parallel::degraded_cluster(cluster)
+        })
+    }
+
+    /// The decode kernel: Thrive/BEC passes (and the SIC rescue) over a
+    /// start-sorted set of detections that shares no overlap with any
+    /// packet outside it. Stage wall times and distributions go to
+    /// `metrics`; the deterministic stage counters ride in the report.
+    fn decode_cluster(
+        &self,
+        detected: &[DetectedPacket],
+        demod: &Demodulator,
+        antennas: &[&[Complex32]],
+        scratch: &mut DspScratch,
+        metrics: &PipelineMetrics,
+    ) -> (Vec<DecodedPacket>, DecodeReport) {
         let pool_before = scratch.pool_stats();
         let mut counters = StageCounters::default();
         let mut sig = SigCalc::observed(demod, antennas, scratch, Some(metrics));
@@ -498,7 +522,7 @@ impl TnbReceiver {
             );
             metrics.record_span(Stage::Sic, t0);
             // Rescued packets append out of order; restore start order so
-            // outcome lists stay position-stable across receiver flavours.
+            // outcome lists stay position-stable across worker counts.
             tracked.sort_by(|a, b| a.det.start.total_cmp(&b.det.start));
         }
 
@@ -633,18 +657,18 @@ impl TnbReceiver {
     /// that fail to decode are dropped — so a trace where no rescue fires
     /// decodes bit-identically to SIC-off.
     ///
-    /// Determinism across receiver flavours: components are refinements
-    /// of the parallel receiver's overlap clusters (actual packet extents
-    /// are always inside the cluster horizon), every window bound derives
-    /// from the component's own members, the re-detection scan stops one
-    /// symbol past the component (a foreign preamble can contribute at
-    /// most ~4.5 symbols of run, below the detector's minimum), and the
-    /// residual is copied from the original trace — which serial and
-    /// parallel receivers see identically.
+    /// Determinism across worker counts and streaming windows: components
+    /// are refinements of the receiver's overlap clusters (actual packet
+    /// extents are always inside the cluster horizon), every window bound
+    /// derives from the component's own members, the re-detection scan
+    /// stops one symbol past the component (a foreign preamble can
+    /// contribute at most ~4.5 symbols of run, below the detector's
+    /// minimum), and the residual is copied from the original trace —
+    /// which every cluster sees identically.
     fn run_sic_rescue(
         &self,
         tracked: &mut Vec<Tracked>,
-        demod: &tnb_phy::demodulate::Demodulator,
+        demod: &Demodulator,
         antennas: &[&[Complex32]],
         scratch: &mut DspScratch,
         metrics: &PipelineMetrics,
@@ -1129,13 +1153,6 @@ impl TnbReceiver {
                 tr.rescued += rescued;
             }
             None => {
-                if std::env::var("TNB_DEBUG_RX").is_ok() {
-                    eprintln!(
-                        "DBG header decode failed for packet at {:.0}, syms {:?}",
-                        tr.det.start,
-                        &tr.values[..8]
-                    );
-                }
                 tr.failure = Failure::Header;
                 tr.status = Status::Failed;
             }
@@ -1216,15 +1233,101 @@ impl TnbReceiver {
             }
             None => {
                 counters.crc_fail += 1;
-                if std::env::var("TNB_DEBUG_RX").is_ok() {
-                    eprintln!(
-                        "DBG payload decode failed for packet at {:.0}",
-                        tr.det.start
-                    );
-                }
                 tr.failure = Failure::Payload;
                 tr.status = Status::Failed;
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use tnb_channel::trace::{PacketConfig, TraceBuilder};
+    use tnb_phy::params::{CodingRate, SpreadingFactor};
+
+    fn params() -> LoRaParams {
+        LoRaParams::new(SpreadingFactor::SF8, CodingRate::CR4)
+    }
+
+    /// Builds a trace from `(payload byte, start, SNR dB, CFO Hz)` rows.
+    fn trace(seed: u64, packets: &[(u8, usize, f32, f64)]) -> Vec<Complex32> {
+        let mut b = TraceBuilder::new(params(), seed);
+        for &(byte, start_sample, snr_db, cfo_hz) in packets {
+            b.add_packet(
+                &[byte; 16],
+                PacketConfig {
+                    start_sample,
+                    snr_db,
+                    cfo_hz,
+                    ..Default::default()
+                },
+            );
+        }
+        b.build().samples().to_vec()
+    }
+
+    /// One call of the decode kernel on every detection at once — the
+    /// whole-trace decode that the cluster split must reproduce.
+    fn whole_set(rx: &TnbReceiver, samples: &[Complex32]) -> (Vec<DecodedPacket>, DecodeReport) {
+        let metrics = PipelineMetrics::disabled();
+        let mut scratch = DspScratch::new();
+        let detector = Detector::with_config(rx.params, rx.cfg.detector);
+        let mut counters = StageCounters::default();
+        let antennas = [samples];
+        let detected = rx.detect(&detector, &antennas, &mut scratch, &metrics, &mut counters);
+        let (decoded, mut report) = rx.decode_cluster(
+            &detected,
+            detector.demodulator(),
+            &antennas,
+            &mut scratch,
+            &metrics,
+        );
+        report.stages.absorb(&counters);
+        (decoded, report)
+    }
+
+    #[test]
+    fn clustered_decode_matches_whole_set_kernel() {
+        let l = params().samples_per_symbol();
+        // The seeded 3-packet collision (the middle packet overlaps both
+        // neighbours) and eight staggered packets (many clusters).
+        let collision = trace(
+            7,
+            &[
+                (0xA1, 4_000, 12.0, 1_500.0),
+                (0x5B, 4_000 + 14 * l + 300, 10.0, -2_200.0),
+                (0x3C, 4_000 + 28 * l + 900, 9.0, 800.0),
+            ],
+        );
+        let staggered_rows: Vec<_> = (0..8usize)
+            .map(|i| {
+                (
+                    (i as u8 + 1) * 17,
+                    4_000 + i * 60 * l + i * 137,
+                    9.0 + (i % 3) as f32,
+                    -2_000.0 + 550.0 * i as f64,
+                )
+            })
+            .collect();
+        let staggered = trace(3, &staggered_rows);
+        for (name, samples, want) in [("collision", collision, 3), ("staggered", staggered, 1)] {
+            let (wd, wr) = whole_set(&TnbReceiver::new(params()), &samples);
+            assert!(wd.len() >= want, "{name}: whole-set decoded {}", wd.len());
+            for workers in [1usize, 2, 8] {
+                let rx = TnbReceiver::new(params())
+                    .with_workers(workers)
+                    .with_max_payload_len(16);
+                let (d, r) = rx.decode_with_report(&samples);
+                assert_eq!(d, wd, "{name} workers={workers}");
+                assert_eq!(r, wr, "{name} workers={workers}");
+            }
+        }
+    }
+
+    #[test]
+    fn receiver_is_send_and_sync() {
+        fn assert_send_sync<T: Send + Sync>() {}
+        assert_send_sync::<TnbReceiver>();
     }
 }

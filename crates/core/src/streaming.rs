@@ -7,8 +7,7 @@
 //! decoded whole in the next round.
 
 use crate::packet::{same_transmission, DecodedPacket};
-use crate::parallel::ParallelReceiver;
-use crate::receiver::{DecodeReport, TnbConfig};
+use crate::receiver::{DecodeReport, TnbConfig, TnbReceiver};
 use tnb_dsp::Complex32;
 use tnb_metrics::{MetricsSnapshot, PipelineMetrics};
 use tnb_phy::params::LoRaParams;
@@ -54,7 +53,7 @@ impl Default for StreamingConfig {
 /// Packet `start` fields are *absolute* sample indices in the stream (not
 /// window-relative).
 pub struct StreamingReceiver {
-    rx: ParallelReceiver,
+    rx: TnbReceiver,
     cfg: StreamingConfig,
     /// Samples of one maximal packet, used for overlap sizing.
     max_packet_samples: usize,
@@ -80,10 +79,8 @@ impl StreamingReceiver {
     /// Creates a streaming receiver with a custom configuration.
     pub fn with_config(params: LoRaParams, cfg: StreamingConfig) -> Self {
         let max_packet_samples = Transmitter::new(params).packet_samples(cfg.max_payload);
-        // The parallel receiver is the batch engine even at one worker:
-        // it decodes per overlap cluster (byte-identical to the serial
-        // path) and guards each cluster with a panic backstop.
-        let rx = ParallelReceiver::with_config(params, cfg.receiver, cfg.workers)
+        let rx = TnbReceiver::with_config(params, cfg.receiver)
+            .with_workers(cfg.workers)
             .with_max_payload_len(cfg.max_payload.max(1));
         StreamingReceiver {
             rx,

@@ -191,8 +191,8 @@ struct Candidate {
 }
 
 /// Deterministic Thrive event tallies accumulated across checking points.
-/// Every field counts per-slot events, so the totals are identical
-/// between the serial and parallel receivers.
+/// Every field counts per-slot events, so the totals are identical for
+/// any receiver worker count.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ThriveTally {
     /// Checking points with at least one participating symbol.

@@ -8,7 +8,7 @@
 use tnb_channel::trace::{PacketConfig, TraceBuilder};
 use tnb_channel::FaultPlan;
 use tnb_core::streaming::{StreamingConfig, StreamingReceiver};
-use tnb_core::{DecodeReport, ParallelReceiver, SicConfig, TnbConfig, TnbReceiver};
+use tnb_core::{DecodeReport, SicConfig, TnbConfig, TnbReceiver};
 use tnb_dsp::Complex32;
 use tnb_phy::{CodingRate, LoRaParams, SpreadingFactor};
 
@@ -57,18 +57,19 @@ fn sic_cfg() -> TnbConfig {
 }
 
 fn serial_decode(samples: &[Complex32]) -> (Vec<Vec<u8>>, DecodeReport) {
-    let (d, r, _) = TnbReceiver::new(params()).decode_with_metrics(samples);
+    let (d, r) = TnbReceiver::new(params()).decode_with_report(samples);
     (d.into_iter().map(|p| p.payload).collect(), r)
 }
 
 fn serial_decode_sic(samples: &[Complex32]) -> (Vec<Vec<u8>>, DecodeReport) {
-    let (d, r, _) = TnbReceiver::with_config(params(), sic_cfg()).decode_with_metrics(samples);
+    let (d, r) = TnbReceiver::with_config(params(), sic_cfg()).decode_with_report(samples);
     (d.into_iter().map(|p| p.payload).collect(), r)
 }
 
 fn parallel_decode_sic(samples: &[Complex32]) -> (Vec<Vec<u8>>, DecodeReport) {
-    let (d, r, _) =
-        ParallelReceiver::with_config(params(), sic_cfg(), 3).decode_with_metrics(samples);
+    let (d, r) = TnbReceiver::with_config(params(), sic_cfg())
+        .with_workers(3)
+        .decode_with_report(samples);
     (d.into_iter().map(|p| p.payload).collect(), r)
 }
 
@@ -88,7 +89,9 @@ fn streaming_decode_sic(samples: &[Complex32]) -> (Vec<Vec<u8>>, DecodeReport) {
 }
 
 fn parallel_decode(samples: &[Complex32]) -> (Vec<Vec<u8>>, DecodeReport) {
-    let (d, r, _) = ParallelReceiver::new(params(), 3).decode_with_metrics(samples);
+    let (d, r) = TnbReceiver::new(params())
+        .with_workers(3)
+        .decode_with_report(samples);
     (d.into_iter().map(|p| p.payload).collect(), r)
 }
 

@@ -1,10 +1,11 @@
-//! Determinism lockdown for the parallel receiver: the parallel pipeline
-//! must be byte-identical to the serial [`TnbReceiver`] for any worker
-//! count, and a seeded collision trace must decode to exact payloads
-//! with exact report counters.
+//! Determinism lockdown for the receiver's worker knob: a decode with a
+//! tightened clustering horizon must be byte-identical to the default
+//! one-worker [`TnbReceiver`] for any worker count, and a seeded
+//! collision trace must decode to exact payloads with exact report
+//! counters.
 
 use tnb_channel::trace::{PacketConfig, Trace, TraceBuilder};
-use tnb_core::{ParallelReceiver, TnbReceiver};
+use tnb_core::TnbReceiver;
 use tnb_phy::{CodingRate, LoRaParams, SpreadingFactor};
 
 fn params() -> LoRaParams {
@@ -79,7 +80,9 @@ fn seeded_collision_decodes_exact_payloads_serial_and_parallel() {
 
     // The parallel receiver reproduces both packets and counters.
     for workers in [1, 4] {
-        let par = ParallelReceiver::new(params(), workers).with_max_payload_len(16);
+        let par = TnbReceiver::new(params())
+            .with_workers(workers)
+            .with_max_payload_len(16);
         let (pd, pr) = par.decode_with_report(trace.samples());
         assert_eq!(pd, decoded, "workers={workers}");
         assert_eq!(pr, report, "workers={workers}");
@@ -94,7 +97,9 @@ fn parallel_is_byte_identical_to_serial_across_worker_counts() {
         let (sd, sr) = serial.decode_with_report(trace.samples());
         assert!(!sd.is_empty(), "seed {seed}: serial decoded nothing");
         for workers in [1usize, 2, 8] {
-            let par = ParallelReceiver::new(params(), workers).with_max_payload_len(16);
+            let par = TnbReceiver::new(params())
+                .with_workers(workers)
+                .with_max_payload_len(16);
             let (pd, pr) = par.decode_with_report(trace.samples());
             assert_eq!(pd, sd, "seed={seed} workers={workers}");
             assert_eq!(pr, sr, "seed={seed} workers={workers}");
@@ -109,7 +114,7 @@ fn parallel_matches_serial_with_untightened_horizon() {
     let trace = staggered_trace(5);
     let serial = TnbReceiver::new(params());
     let (sd, sr) = serial.decode_with_report(trace.samples());
-    let par = ParallelReceiver::new(params(), 4);
+    let par = TnbReceiver::new(params()).with_workers(4);
     let (pd, pr) = par.decode_with_report(trace.samples());
     assert_eq!(pd, sd);
     assert_eq!(pr, sr);
@@ -120,7 +125,7 @@ fn empty_trace_decodes_to_nothing() {
     let mut b = TraceBuilder::new(params(), 42);
     b.set_min_len(40_000);
     let noise_only = b.build();
-    let par = ParallelReceiver::new(params(), 4);
+    let par = TnbReceiver::new(params()).with_workers(4);
     let (pd, pr) = par.decode_with_report(noise_only.samples());
     assert!(pd.is_empty());
     assert_eq!(pr.detected, 0);

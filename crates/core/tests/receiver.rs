@@ -209,7 +209,8 @@ fn two_antennas_decode() {
     );
     let t = b.build();
     let refs: Vec<&[tnb_dsp::Complex32]> = t.antennas.iter().map(|a| a.as_slice()).collect();
-    let decoded = TnbReceiver::new(p).decode_multi(&refs);
+    let (decoded, _) = TnbReceiver::new(p)
+        .decode_multi_report_observed(&refs, &tnb_core::PipelineMetrics::disabled());
     assert_eq!(decoded.len(), 1);
     assert_eq!(decoded[0].payload, payload);
 }

@@ -5,7 +5,7 @@
 
 use tnb_channel::trace::{PacketConfig, TraceBuilder};
 use tnb_core::streaming::{StreamingConfig, StreamingReceiver};
-use tnb_core::{DecodeReport, ParallelReceiver, SicConfig, TnbConfig, TnbReceiver};
+use tnb_core::{DecodeReport, SicConfig, TnbConfig, TnbReceiver};
 use tnb_dsp::Complex32;
 use tnb_phy::{CodingRate, LoRaParams, SpreadingFactor};
 
@@ -113,7 +113,8 @@ fn near_far_reports_byte_identical_across_receivers() {
     assert!(payloads.contains(&weak) && payloads.contains(&strong));
 
     for workers in [1usize, 2, 8] {
-        let (decoded, report) = ParallelReceiver::with_config(p, sic_on(), workers)
+        let (decoded, report) = TnbReceiver::with_config(p, sic_on())
+            .with_workers(workers)
             .decode_multi_report_observed(&[&trace], &tnb_core::PipelineMetrics::disabled());
         assert_eq!(report_json(&report), reference, "workers={workers}");
         let par: Vec<Vec<u8>> = decoded.iter().map(|d| d.payload.clone()).collect();

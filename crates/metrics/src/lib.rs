@@ -437,7 +437,7 @@ pub struct PipelineMetrics {
     pub pool_hits: Counter,
     /// Scratch-pool allocations (pool empty) during the decode.
     pub pool_misses: Counter,
-    /// Decode clusters formed by the parallel receiver.
+    /// Overlap clusters the receiver decoded.
     pub clusters: Gauge,
     /// Worker threads used.
     pub workers: Gauge,
@@ -549,9 +549,9 @@ pub struct MetricsSnapshot {
     pub pool_hits: u64,
     /// Scratch-pool allocations.
     pub pool_misses: u64,
-    /// Decode clusters formed (parallel receiver; 0 for serial).
+    /// Overlap clusters the receiver decoded.
     pub clusters: f64,
-    /// Worker threads used (0 for serial).
+    /// Worker threads used.
     pub workers: f64,
 }
 

@@ -17,5 +17,5 @@ pub mod wideband;
 pub use deployment::Deployment;
 pub use runner::{
     apply_faults, build_experiment, run_scheme, run_scheme_limited, run_scheme_observed,
-    run_scheme_with_workers, BuiltExperiment, ExperimentConfig, ExperimentResult,
+    BuiltExperiment, ExperimentConfig, ExperimentResult,
 };

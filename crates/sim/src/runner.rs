@@ -161,17 +161,6 @@ pub fn apply_faults(built: &mut BuiltExperiment, plan: &FaultPlan) {
     }
 }
 
-/// Like [`run_scheme`] but decodes with up to `workers` threads (schemes
-/// without a parallel pipeline ignore the hint). Results are identical to
-/// the serial run for any worker count.
-pub fn run_scheme_with_workers(
-    scheme: &dyn Scheme,
-    built: &BuiltExperiment,
-    workers: usize,
-) -> ExperimentResult {
-    run_scheme_limited_with_workers(scheme, built, usize::MAX, workers)
-}
-
 /// Like [`run_scheme`] but exposes at most `max_antennas` antennas to the
 /// scheme (Fig. 19 compares single-antenna schemes with `TnB2ant` on the
 /// same 2-antenna trace).
@@ -180,13 +169,15 @@ pub fn run_scheme_limited(
     built: &BuiltExperiment,
     max_antennas: usize,
 ) -> ExperimentResult {
-    run_scheme_limited_with_workers(scheme, built, max_antennas, 1)
+    run_scheme_inner(scheme, built, max_antennas, 1, None)
 }
 
-/// Like [`run_scheme_with_workers`] but with the observability layer on:
-/// the result carries the scheme's [`DecodeReport`] (deterministic stage
-/// counters) and a [`MetricsSnapshot`] of per-stage wall times, so BENCH
-/// outputs can report where decode time goes.
+/// Like [`run_scheme`] but decodes with up to `workers` threads (schemes
+/// without a parallel pipeline ignore the hint; results are identical for
+/// any worker count) and with the observability layer on: the result
+/// carries the scheme's [`DecodeReport`] (deterministic stage counters)
+/// and a [`MetricsSnapshot`] of per-stage wall times, so BENCH outputs can
+/// report where decode time goes.
 pub fn run_scheme_observed(
     scheme: &dyn Scheme,
     built: &BuiltExperiment,
@@ -194,16 +185,6 @@ pub fn run_scheme_observed(
 ) -> ExperimentResult {
     let metrics = PipelineMetrics::enabled();
     run_scheme_inner(scheme, built, usize::MAX, workers, Some(&metrics))
-}
-
-/// The general runner: antenna cap and worker-count knob combined.
-pub fn run_scheme_limited_with_workers(
-    scheme: &dyn Scheme,
-    built: &BuiltExperiment,
-    max_antennas: usize,
-    workers: usize,
-) -> ExperimentResult {
-    run_scheme_inner(scheme, built, max_antennas, workers, None)
 }
 
 fn run_scheme_inner(
@@ -220,10 +201,13 @@ fn run_scheme_inner(
         .take(max_antennas.max(1))
         .map(|a| a.as_slice())
         .collect();
-    let (decoded, report) = match metrics {
-        Some(m) => scheme.decode_observed(&refs, workers.max(1), m),
-        None => (scheme.decode_with_workers(&refs, workers.max(1)), None),
-    };
+    let (decoded, report) = scheme.decode_observed(
+        &refs,
+        workers.max(1),
+        metrics.unwrap_or(&PipelineMetrics::disabled()),
+    );
+    // Unobserved runs carry no report, whatever the scheme returns.
+    let report = report.filter(|_| metrics.is_some());
     let matched = match_decoded(&decoded, &built.schedule);
     let sent = built.schedule.len();
     let correct = matched.correct.len();
@@ -353,7 +337,7 @@ mod tests {
         let built = build_experiment(&cfg);
         let scheme = SchemeKind::Tnb.build(cfg.params);
         let serial = run_scheme(scheme.as_ref(), &built);
-        let parallel = run_scheme_with_workers(scheme.as_ref(), &built, 4);
+        let parallel = run_scheme_observed(scheme.as_ref(), &built, 4);
         assert_eq!(parallel.matched.correct, serial.matched.correct);
         assert_eq!(parallel.matched.unmatched, serial.matched.unmatched);
         assert_eq!(parallel.prr, serial.prr);

@@ -5,6 +5,7 @@
 use tnb_baselines::Scheme;
 use tnb_core::packet::DecodedPacket;
 use tnb_core::receiver::{TnbConfig, TnbReceiver};
+use tnb_core::PipelineMetrics;
 use tnb_dsp::Complex32;
 use tnb_phy::{CodingRate, LoRaParams, SpreadingFactor};
 use tnb_sim::{build_experiment, run_scheme, Deployment, ExperimentConfig};
@@ -16,7 +17,9 @@ impl Scheme for ConfiguredTnb {
         "TnB(configured)"
     }
     fn decode(&self, antennas: &[&[Complex32]]) -> Vec<DecodedPacket> {
-        self.0.decode_multi(antennas)
+        self.0
+            .decode_multi_report_observed(antennas, &PipelineMetrics::disabled())
+            .0
     }
 }
 
