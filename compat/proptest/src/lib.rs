@@ -1,7 +1,7 @@
 //! Offline API-compatible subset of `proptest` 1.
 //!
 //! Covers exactly what this workspace's property tests use: the
-//! [`proptest!`] macro, `prop_assert*` / [`prop_assume!`], [`Strategy`]
+//! [`proptest!`] macro, `prop_assert*` / [`prop_assume!`], [`Strategy`](strategy::Strategy)
 //! with `prop_map`, `any::<T>()`, numeric-range and tuple strategies,
 //! `collection::vec` and `sample::subsequence`.
 //!

@@ -9,26 +9,26 @@
 
 use tnb_bench::{ExpArgs, TablePrinter};
 use tnb_phy::{CodingRate, LoRaParams, SpreadingFactor};
-use tnb_sim::wideband::{bench_wideband, WidebandLoopbackConfig};
+use tnb_sim::loopback::{run, LoopbackConfig};
 
 fn main() {
     let args = ExpArgs::parse();
     let params = LoRaParams::new(SpreadingFactor::SF8, CodingRate::CR4);
-    let mut cfg = WidebandLoopbackConfig::new(params);
+    let mut cfg = LoopbackConfig::wideband(params);
     cfg.seed = args.seed.wrapping_add(39);
     if !args.quick {
         // Spread packets across more of the band (channel edges stay
         // covered by the dsp chunk-invariance and wideband unit tests).
         cfg.occupied = vec![1, 2, 4, 5, 6];
     }
-    let bench = match bench_wideband(&cfg) {
+    let bench = match run(&cfg) {
         Ok(b) => b,
         Err(e) => {
             eprintln!("wideband loopback failed: {e}");
             std::process::exit(1);
         }
     };
-    if !bench.byte_identical {
+    if !bench.byte_identical() {
         eprintln!("wideband loopback diverged from the in-process reference decode");
         std::process::exit(1);
     }
@@ -46,19 +46,28 @@ fn main() {
     t.print();
     println!(
         "\n{} packets uplinked over {:.1} Msamples: {:.1} packets/s, {:.2} Msamples/s, byte-identical",
-        bench.uplinked,
+        bench.stats.packets_uplinked,
         bench.samples as f64 / 1e6,
-        bench.packets_per_sec,
-        bench.samples_per_sec / 1e6,
+        bench.packets_per_sec(),
+        bench.samples_per_sec() / 1e6,
     );
 
     if let Some(path) = &args.json_out {
+        let per: Vec<String> = bench.per_channel.iter().map(u64::to_string).collect();
         let body = format!(
-            "{{\"benchmark\":\"channelizer_throughput\",\"seed\":{},\
-             \"occupied\":{},\"wideband\":{}}}",
+            "{{\"benchmark\":\"channelizer_throughput\",\"seed\":{},\"occupied\":{},\
+             \"wideband\":{{\"channels\":{},\"per_channel_packets\":[{}],\
+             \"packets_per_sec\":{:.2},\"samples_per_sec\":{:.0},\
+             \"uplinked\":{},\"samples\":{},\"byte_identical\":{}}}}}",
             cfg.seed,
             cfg.occupied.len(),
-            bench.to_json(),
+            bench.per_channel.len(),
+            per.join(","),
+            bench.packets_per_sec(),
+            bench.samples_per_sec(),
+            bench.stats.packets_uplinked,
+            bench.samples,
+            bench.byte_identical(),
         );
         match std::fs::write(path, body) {
             Ok(()) => println!("wrote {path}"),

@@ -9,6 +9,7 @@ use tnb_core::{
     DecodeReport, DegradeReason, MetricsSnapshot, PipelineMetrics, Stage, TnbConfig, TnbReceiver,
 };
 use tnb_phy::{CodingRate, LoRaParams, SpreadingFactor};
+use tnb_sim::loopback::{LoopbackConfig, LoopbackOutcome};
 use tnb_sim::traffic::parse_payload;
 use tnb_sim::{build_experiment, Deployment, ExperimentConfig};
 
@@ -765,9 +766,6 @@ fn gateway_send(args: &[String]) -> Result<(), String> {
         let chaos_seed: u64 = chaos
             .parse()
             .map_err(|_| format!("bad value for --chaos-seed: {chaos}"))?;
-        if flags.has("--wideband") {
-            return Err("--chaos-seed does not support --wideband".into());
-        }
         return gateway_send_chaos(&flags, addr, chaos_seed, stream_id, &samples, chunk);
     }
     let mut client = tnb_gateway::GatewayClient::connect(
@@ -775,15 +773,9 @@ fn gateway_send(args: &[String]) -> Result<(), String> {
         std::time::Duration::from_secs(flags.parse_or("--connect-timeout", 10u64)?),
     )
     .map_err(|e| format!("connect {addr}: {e}"))?;
-    if flags.has("--wideband") {
-        client
-            .send_samples_wideband(stream_id, &samples, chunk)
-            .map_err(|e| format!("stream: {e}"))?;
-    } else {
-        client
-            .send_samples(stream_id, &samples, chunk)
-            .map_err(|e| format!("stream: {e}"))?;
-    }
+    client
+        .send_samples_mode(stream_id, &samples, chunk, flags.has("--wideband"))
+        .map_err(|e| format!("stream: {e}"))?;
     client
         .end_stream(stream_id)
         .map_err(|e| format!("stream: {e}"))?;
@@ -802,7 +794,7 @@ fn gateway_send(args: &[String]) -> Result<(), String> {
 }
 
 /// The `--chaos-seed` leg of `gateway send`: route the connection
-/// through an in-process [`NetFaultPlan`] proxy (the seed picks one
+/// through an in-process [`tnb_gateway::NetFaultPlan`] proxy (the seed picks one
 /// injector from the matrix and its fault offsets) and drive it with
 /// the resilient client, proving reconnect+RESUME survives the fault.
 fn gateway_send_chaos(
@@ -840,7 +832,7 @@ fn gateway_send_chaos(
     )
     .map_err(|e| format!("connect {addr}: {e}"))?;
     client
-        .send_samples(stream_id, samples, chunk)
+        .send_samples_mode(stream_id, samples, chunk, flags.has("--wideband"))
         .map_err(|e| format!("stream: {e}"))?;
     client
         .end_stream(stream_id)
@@ -890,31 +882,44 @@ fn gateway_bench(args: &[String]) -> Result<(), String> {
     };
     let mut rows = Vec::new();
     for &workers in &workers_list {
-        let cfg = tnb_sim::gateway::LoopbackConfig {
+        let cfg = LoopbackConfig {
             workers: workers.max(1),
             streams: flags.parse_or("--streams", 2u32)?,
             packets: flags.parse_or("--packets", 3usize)?,
             seed: flags.parse_or("--seed", 7u64)?,
-            ..tnb_sim::gateway::LoopbackConfig::new(params)
+            ..LoopbackConfig::new(params)
         };
-        let bench = tnb_sim::gateway::bench_loopback(&cfg).map_err(|e| e.to_string())?;
-        if !bench.byte_identical {
+        let run = tnb_sim::loopback::run(&cfg).map_err(|e| e.to_string())?;
+        if !run.byte_identical() {
             return Err(format!(
                 "loopback at {workers} workers diverged from the direct decode"
             ));
         }
-        rows.push((workers, bench));
+        rows.push((workers, run));
     }
     if flags.has("--json") {
-        let body: Vec<String> = rows.iter().map(|(w, b)| b.to_json(*w)).collect();
+        let body: Vec<String> = rows
+            .iter()
+            .map(|(w, r)| {
+                format!(
+                    "{{\"workers\":{w},\"packets_per_sec\":{:.2},\"samples_per_sec\":{:.0},\
+                     \"uplinked\":{},\"samples\":{},\"byte_identical\":{}}}",
+                    r.packets_per_sec(),
+                    r.samples_per_sec(),
+                    r.stats.packets_uplinked,
+                    r.samples,
+                    r.byte_identical()
+                )
+            })
+            .collect();
         println!("{{\"gateway_loopback\":[{}]}}", body.join(","));
     } else {
-        for (w, b) in &rows {
+        for (w, r) in &rows {
             println!(
                 "workers {w}: {:.1} packets/s, {:.2} Msamples/s ({} uplinked, byte-identical)",
-                b.packets_per_sec,
-                b.samples_per_sec / 1e6,
-                b.uplinked,
+                r.packets_per_sec(),
+                r.samples_per_sec() / 1e6,
+                r.stats.packets_uplinked,
             );
         }
     }
@@ -922,38 +927,54 @@ fn gateway_bench(args: &[String]) -> Result<(), String> {
 }
 
 /// The `--chaos-seed` leg of `gateway bench`: the network-chaos soak.
-/// Runs every [`NetFaultPlan::matrix`] injector against a live daemon
-/// through the chaos proxy and errors unless every recoverable run's
-/// transcript is byte-identical to the clean reference.
+/// Runs every [`tnb_gateway::NetFaultPlan::matrix`] injector against a
+/// live daemon through the chaos proxy and errors unless every
+/// recoverable run's transcript is byte-identical to the clean
+/// reference.
 fn gateway_bench_chaos(flags: &Flags, params: LoRaParams, chaos_seed: u64) -> Result<(), String> {
-    let cfg = tnb_sim::chaos::ChaosConfig {
+    let cfg = LoopbackConfig {
         streams: flags.parse_or("--streams", 1u32)?,
         packets: flags.parse_or("--packets", 2usize)?,
+        chunk: 4096,
         seed: flags.parse_or("--seed", 7u64)?,
-        chaos_seed,
-        ..tnb_sim::chaos::ChaosConfig::new(params)
+        ..LoopbackConfig::new(params)
     };
-    let rows = tnb_sim::chaos::run_chaos_matrix(&cfg).map_err(|e| e.to_string())?;
-    for row in &rows {
+    let plans = tnb_gateway::NetFaultPlan::matrix(chaos_seed);
+    let rows = plans
+        .iter()
+        .map(|plan| {
+            tnb_sim::loopback::run(&LoopbackConfig {
+                faults: Some(plan.clone()),
+                ..cfg.clone()
+            })
+        })
+        .collect::<Result<Vec<_>, _>>()
+        .map_err(|e| e.to_string())?;
+    for (plan, row) in plans.iter().zip(&rows) {
         if row.stats.worker_panics > 0 {
-            return Err(format!("chaos '{}': daemon worker panicked", row.scenario));
+            return Err(format!("chaos '{}': daemon worker panicked", plan.name));
         }
-        if row.recoverable && !row.parity {
+        if plan.recoverable && !row.byte_identical() {
             return Err(format!(
                 "chaos '{}': transcript diverged from the clean run \
                  (reconnects={}, resent={})",
-                row.scenario, row.reconnects, row.resent
+                plan.name, row.reconnects, row.resent
             ));
         }
     }
     if flags.has("--json") {
-        println!("{}", tnb_sim::chaos::chaos_json(&rows));
+        let body: Vec<String> = plans
+            .iter()
+            .zip(&rows)
+            .map(|(plan, row)| chaos_row_json(plan, row))
+            .collect();
+        println!("{{\"gateway_chaos\":[{}]}}", body.join(","));
     } else {
-        for row in &rows {
+        for (plan, row) in plans.iter().zip(&rows) {
             println!(
                 "{:<18} parity={} reconnects={} resent={} faults={} parked={} resumed={}",
-                row.scenario,
-                row.parity,
+                plan.name,
+                row.byte_identical(),
                 row.reconnects,
                 row.resent,
                 row.proxy_faults,
@@ -963,6 +984,34 @@ fn gateway_bench_chaos(flags: &Flags, params: LoRaParams, chaos_seed: u64) -> Re
         }
     }
     Ok(())
+}
+
+/// One row of the `gateway bench --chaos-seed --json` artifact: a flat
+/// object per fault scenario.
+fn chaos_row_json(plan: &tnb_gateway::NetFaultPlan, row: &LoopbackOutcome) -> String {
+    format!(
+        "{{\"scenario\":\"{}\",\"recoverable\":{},\"parity\":{},\
+         \"reconnects\":{},\"resent\":{},\"proxy_faults\":{},\
+         \"worker_panics\":{},\"protocol_errors\":{},\
+         \"sessions_parked\":{},\"sessions_resumed\":{},\
+         \"retransmitted_frames\":{},\"seq_dups\":{},\
+         \"chunks_dropped\":{},\"shed_frames\":{},\"uplinked\":{}}}",
+        plan.name,
+        plan.recoverable,
+        row.byte_identical(),
+        row.reconnects,
+        row.resent,
+        row.proxy_faults,
+        row.stats.worker_panics,
+        row.stats.protocol_errors,
+        row.stats.sessions_parked,
+        row.stats.sessions_resumed,
+        row.stats.retransmitted_frames,
+        row.stats.seq_dups,
+        row.stats.chunks_dropped,
+        row.stats.shed_frames,
+        row.stats.packets_uplinked,
+    )
 }
 
 #[cfg(test)]
@@ -1141,8 +1190,7 @@ mod tests {
         let path = dir.join("w.iq16");
         let path_s = path.to_str().unwrap();
         let params = LoRaParams::new(SpreadingFactor::SF8, CodingRate::CR4);
-        let cfg = tnb_sim::wideband::WidebandLoopbackConfig::new(params);
-        let (scene, _) = tnb_sim::wideband::wideband_scene(&cfg);
+        let scene = tnb_sim::loopback::scene(&LoopbackConfig::wideband(params), 0);
         save_trace(path_s, &scene).unwrap();
         decode(&s(&["--trace", path_s, "--sf", "8", "--wideband"])).unwrap();
         // Non-TnB schemes cannot ride the channelizer pipeline.
@@ -1158,6 +1206,41 @@ mod tests {
         .unwrap_err();
         assert!(err.contains("--wideband"), "{err}");
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn chaos_row_json_is_flat_and_complete() {
+        let plan = tnb_gateway::NetFaultPlan::matrix(1)
+            .into_iter()
+            .find(|p| p.name == "bitflip")
+            .expect("matrix has the bitflip injector");
+        let row = LoopbackOutcome {
+            daemon_lines: Vec::new(),
+            reference_lines: Vec::new(),
+            per_channel: vec![0],
+            samples: 9,
+            reconnects: 1,
+            resent: 4,
+            proxy_faults: 1,
+            stats: Default::default(),
+            wall: std::time::Duration::ZERO,
+        };
+        let json = chaos_row_json(&plan, &row);
+        for key in [
+            "scenario",
+            "recoverable",
+            "parity",
+            "reconnects",
+            "resent",
+            "proxy_faults",
+            "worker_panics",
+            "sessions_resumed",
+            "retransmitted_frames",
+        ] {
+            assert!(json.contains(&format!("\"{key}\":")), "{json}");
+        }
+        assert!(json.contains("\"scenario\":\"bitflip\""), "{json}");
+        assert!(json.contains("\"parity\":true"), "{json}");
     }
 
     #[test]

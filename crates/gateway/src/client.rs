@@ -24,7 +24,7 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
-use crate::wire::{encode_frame, quantize, Frame, MAX_FRAME_SAMPLES};
+use crate::wire::{encode_frame, Frame, MAX_FRAME_SAMPLES};
 use tnb_dsp::Complex32;
 
 /// Default DATA-frame chunk length in samples (64 ms at 1 Msps — large
@@ -95,8 +95,9 @@ impl GatewayClient {
 
     /// Streams `samples` as DATA frames of `chunk_len` samples on
     /// `stream_id`, quantizing through the shared wire quantizer (so a
-    /// local reference decode over [`quantize`]d samples sees exactly
-    /// the bytes the daemon sees). Returns the number of frames sent.
+    /// local reference decode over [`crate::wire::quantize`]d samples
+    /// sees exactly the bytes the daemon sees). Returns the number of
+    /// frames sent.
     pub fn send_samples(
         &mut self,
         stream_id: u32,
@@ -106,35 +107,21 @@ impl GatewayClient {
         self.send_samples_mode(stream_id, samples, chunk_len, false)
     }
 
-    /// Like [`Self::send_samples`] but marks every DATA frame with the
-    /// WIDEBAND flag, so the daemon channelizes the stream into the 8
-    /// LoRa uplink channels before decoding.
-    pub fn send_samples_wideband(
-        &mut self,
-        stream_id: u32,
-        samples: &[Complex32],
-        chunk_len: usize,
-    ) -> io::Result<u32> {
-        self.send_samples_mode(stream_id, samples, chunk_len, true)
-    }
-
-    fn send_samples_mode(
+    /// Like [`Self::send_samples`]; with `wideband` set every DATA frame
+    /// carries the WIDEBAND flag, so the daemon channelizes the stream
+    /// into the 8 LoRa uplink channels before decoding.
+    pub fn send_samples_mode(
         &mut self,
         stream_id: u32,
         samples: &[Complex32],
         chunk_len: usize,
         wideband: bool,
     ) -> io::Result<u32> {
-        let chunk_len = chunk_len.clamp(1, MAX_FRAME_SAMPLES);
         let mut sent = 0;
-        for chunk in samples.chunks(chunk_len) {
+        for chunk in samples.chunks(chunk_len.clamp(1, MAX_FRAME_SAMPLES)) {
             let seq = self.bump_seq(stream_id);
-            let frame = if wideband {
-                Frame::data_wideband(stream_id, seq, chunk.to_vec())
-            } else {
-                Frame::data(stream_id, seq, chunk.to_vec())
-            };
-            self.sock.write_all(&encode_frame(&frame))?;
+            self.sock
+                .write_all(&encode_frame(&data_frame(stream_id, seq, chunk, wideband)))?;
             sent += 1;
         }
         self.sock.flush()?;
@@ -197,11 +184,14 @@ impl Drop for GatewayClient {
     }
 }
 
-/// Quantizes `samples` exactly as the wire does end-to-end — the
-/// reference for byte-identity checks against a direct
-/// [`tnb_core::StreamingReceiver`] decode.
-pub fn wire_reference(samples: &[Complex32]) -> Vec<Complex32> {
-    quantize(samples)
+/// The DATA frame carrying one chunk, WIDEBAND-flagged when `wideband`
+/// (the daemon then channelizes the stream before decoding).
+fn data_frame(stream_id: u32, seq: u32, chunk: &[Complex32], wideband: bool) -> Frame {
+    if wideband {
+        Frame::data_wideband(stream_id, seq, chunk.to_vec())
+    } else {
+        Frame::data(stream_id, seq, chunk.to_vec())
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -446,11 +436,22 @@ impl ResilientClient {
         samples: &[Complex32],
         chunk_len: usize,
     ) -> io::Result<u32> {
-        let chunk_len = chunk_len.clamp(1, MAX_FRAME_SAMPLES);
+        self.send_samples_mode(stream_id, samples, chunk_len, false)
+    }
+
+    /// Like [`Self::send_samples`], WIDEBAND-flagged when `wideband` is
+    /// set (see [`GatewayClient::send_samples_mode`]).
+    pub fn send_samples_mode(
+        &mut self,
+        stream_id: u32,
+        samples: &[Complex32],
+        chunk_len: usize,
+        wideband: bool,
+    ) -> io::Result<u32> {
         let mut sent = 0;
-        for chunk in samples.chunks(chunk_len) {
+        for chunk in samples.chunks(chunk_len.clamp(1, MAX_FRAME_SAMPLES)) {
             let seq = self.bump_seq(stream_id);
-            let frame = Frame::data(stream_id, seq, chunk.to_vec());
+            let frame = data_frame(stream_id, seq, chunk, wideband);
             self.ship(stream_id, seq, encode_frame(&frame))?;
             sent += 1;
         }

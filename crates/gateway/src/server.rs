@@ -765,6 +765,27 @@ impl Session {
         }
     }
 
+    /// Writes one uplink session line per packet, numbered from the
+    /// stream's running uplink count (channel-tagged on wideband).
+    fn uplink(
+        &mut self,
+        stream_id: u32,
+        pkts: &[(Option<usize>, tnb_core::DecodedPacket)],
+        params: &LoRaParams,
+        stats: &GatewayStats,
+        up: &mut Uplink,
+    ) {
+        for (chan, p) in pkts {
+            let line = match chan {
+                Some(c) => uplink::uplink_line_on_channel(params, stream_id, self.uplinked, *c, p),
+                None => uplink::uplink_line(params, stream_id, self.uplinked, p),
+            };
+            self.uplinked += 1;
+            stats.packets_uplinked.inc();
+            up.session(&line, stats);
+        }
+    }
+
     /// Cumulative decode report (wideband: absorbed across channels).
     fn report(&self) -> DecodeReport {
         match &self.rx {
@@ -952,21 +973,7 @@ fn decode_loop(
                     }
                 };
                 s.processed += 1;
-                for (chan, p) in &pkts {
-                    let line = match chan {
-                        Some(c) => uplink::uplink_line_on_channel(
-                            &cfg.params,
-                            stream_id,
-                            s.uplinked,
-                            *c,
-                            p,
-                        ),
-                        None => uplink::uplink_line(&cfg.params, stream_id, s.uplinked, p),
-                    };
-                    s.uplinked += 1;
-                    stats.packets_uplinked.inc();
-                    up.session(&line, stats);
-                }
+                s.uplink(stream_id, &pkts, &cfg.params, stats, &mut up);
                 // Delivery acks let a resumable client trim its resend
                 // buffer; plain connections never see them.
                 if state.token.is_some()
@@ -1171,15 +1178,7 @@ fn finish_session(
             Vec::new()
         }
     };
-    for (chan, p) in &pkts {
-        let line = match chan {
-            Some(c) => uplink::uplink_line_on_channel(&cfg.params, stream_id, s.uplinked, *c, p),
-            None => uplink::uplink_line(&cfg.params, stream_id, s.uplinked, p),
-        };
-        s.uplinked += 1;
-        stats.packets_uplinked.inc();
-        up.session(&line, stats);
-    }
+    s.uplink(stream_id, &pkts, &cfg.params, stats, up);
     let report = s.report();
     *last_metrics = s.metrics_snapshot();
     up.session(

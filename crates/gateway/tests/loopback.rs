@@ -9,7 +9,7 @@ use std::time::Duration;
 
 use tnb_gateway::{Gateway, GatewayClient, GatewayConfig};
 use tnb_phy::{CodingRate, LoRaParams, SpreadingFactor};
-use tnb_sim::gateway::{run_loopback, LoopbackConfig};
+use tnb_sim::loopback::{self, LoopbackConfig};
 
 fn params() -> LoRaParams {
     LoRaParams::new(SpreadingFactor::SF8, CodingRate::CR4)
@@ -24,10 +24,15 @@ fn run(workers: usize) {
         seed: 7,
         ..LoopbackConfig::new(params())
     };
-    let outcome = run_loopback(&cfg).expect("loopback run");
+    let outcome = loopback::run(&cfg).expect("loopback run");
     assert!(
-        outcome.uplinked >= 2 * cfg.streams as u64,
+        outcome.stats.packets_uplinked >= 2 * cfg.streams as u64,
         "expected ≥2 decodes per 3-packet collision per stream: {outcome:?}"
+    );
+    assert_eq!(
+        outcome.daemon_lines.len(),
+        cfg.streams as usize,
+        "lines naming no stream: {outcome:?}"
     );
     for s in 0..cfg.streams as usize {
         assert_eq!(
@@ -72,7 +77,7 @@ fn stats_and_shutdown_verbs() {
     let gw = Gateway::spawn(("127.0.0.1", 0), GatewayConfig::new(params())).expect("bind");
     let addr = gw.local_addr();
     let mut c = GatewayClient::connect(addr, Duration::from_secs(5)).expect("connect");
-    let samples = tnb_sim::gateway::collided_samples(params(), 7, 3);
+    let samples = loopback::scene(&LoopbackConfig::new(params()), 0);
     c.send_samples(0, &samples, 65_536).expect("stream");
     c.end_stream(0).expect("end");
     c.request_stats().expect("stats");

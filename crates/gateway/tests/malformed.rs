@@ -10,10 +10,20 @@ use tnb_core::StreamingConfig;
 use tnb_gateway::wire::{encode_frame, HEADER_LEN};
 use tnb_gateway::{Frame, Gateway, GatewayClient, GatewayConfig};
 use tnb_phy::{CodingRate, LoRaParams, SpreadingFactor};
-use tnb_sim::gateway::collided_samples;
+use tnb_sim::loopback::{scene, LoopbackConfig};
 
 fn params() -> LoRaParams {
     LoRaParams::new(SpreadingFactor::SF8, CodingRate::CR4)
+}
+
+/// The seeded `packets`-packet collision of the loopback harness.
+fn collided_samples(seed: u64, packets: usize) -> Vec<tnb_dsp::Complex32> {
+    let cfg = LoopbackConfig {
+        packets,
+        seed,
+        ..LoopbackConfig::new(params())
+    };
+    scene(&cfg, 0)
 }
 
 fn spawn_daemon() -> Gateway {
@@ -97,7 +107,7 @@ fn every_malformation_yields_typed_error_and_daemon_survives() {
     }
 
     // After all that abuse, a clean connection still decodes packets.
-    let samples = collided_samples(params(), 7, 3);
+    let samples = collided_samples(7, 3);
     let mut c = connect(&gw);
     c.send_samples(0, &samples, 65_536).expect("stream");
     c.end_stream(0).expect("end");
@@ -120,7 +130,7 @@ fn every_malformation_yields_typed_error_and_daemon_survives() {
 #[test]
 fn fault_injected_iq_never_kills_the_daemon() {
     let gw = spawn_daemon();
-    let clean = collided_samples(params(), 11, 2);
+    let clean = collided_samples(11, 2);
 
     for (i, (name, plan)) in FaultPlan::matrix(11).into_iter().enumerate() {
         let hostile = plan.apply(&clean);
@@ -157,7 +167,7 @@ fn backpressure_drops_oldest_and_counts() {
         },
     )
     .expect("bind");
-    let samples = collided_samples(params(), 3, 3);
+    let samples = collided_samples(3, 3);
     let mut c = GatewayClient::connect(gw.local_addr(), Duration::from_secs(5)).expect("connect");
     // Ending stream 0 parks the decoder inside a full collision decode;
     // stream 1's small chunks then flood the 2-chunk queue far faster

@@ -7,12 +7,12 @@ use std::io::{BufRead, BufReader, Read};
 use std::net::TcpStream;
 use std::time::Duration;
 
-use tnb_core::StreamingConfig;
-use tnb_gateway::netfaults::{ChaosProxy, NetFault, NetFaultPlan};
-use tnb_gateway::wire::{encode_frame, quantize, Frame};
+use tnb_core::{StreamingConfig, StreamingReceiver};
+use tnb_gateway::netfaults::{NetFault, NetFaultPlan};
+use tnb_gateway::wire::{encode_frame, Frame};
 use tnb_gateway::{Gateway, GatewayClient, GatewayConfig, ResilientClient, ResilientConfig};
-use tnb_phy::{CodingRate, LoRaParams, SpreadingFactor};
-use tnb_sim::gateway::{collided_samples, reference_transcript};
+use tnb_phy::{CodingRate, LoRaParams, SpreadingFactor, Transmitter};
+use tnb_sim::loopback::{self, reference_transcript, scene, uplink_transcript, LoopbackConfig};
 
 fn params() -> LoRaParams {
     LoRaParams::new(SpreadingFactor::SF7, CodingRate::CR4)
@@ -113,23 +113,48 @@ fn admission_control_answers_busy_past_the_connection_cap() {
 #[test]
 fn backpressure_sheds_load_while_the_decoder_is_busy() {
     // Tiny ingest queue + per-stream quota. The first frame is a heavy
-    // decode (a full collided chunk); while the decoder chews on it the
-    // follow-up frames pile onto the queue and must be shed/evicted —
-    // deterministically, because the decode takes far longer than the
-    // blast of sends.
+    // decode: it spans a whole streaming window, so the decoder runs a
+    // full batch decode of repeated collisions on it. While the decoder
+    // chews on it the follow-up frames — one write, parsed in
+    // microseconds — pile onto the queue and must be shed/evicted,
+    // deterministically, because the decode takes far longer.
+    let streaming = StreamingConfig::default();
+    let window =
+        streaming.window_factor * Transmitter::new(params()).packet_samples(streaming.max_payload);
+    let collision = scene(
+        &LoopbackConfig {
+            packets: 2,
+            seed: 3,
+            ..LoopbackConfig::new(params())
+        },
+        0,
+    );
+    let heavy = collision.repeat(window.div_ceil(collision.len()));
+    // Premise: pushing the first frame alone runs a batch decode.
+    let mut probe = StreamingReceiver::with_config(params(), streaming);
+    probe.push(&heavy);
+    assert!(
+        probe.report().stages.detect_windows >= 1,
+        "the first frame must span a streaming window"
+    );
+
     let gw = spawn_daemon(GatewayConfig {
         queue_chunks: 4,
         quota_chunks: 2,
         ..GatewayConfig::new(params())
     });
     let mut c = GatewayClient::connect(gw.local_addr(), Duration::from_secs(5)).expect("connect");
-    let samples = collided_samples(params(), 3, 2);
-    c.send_samples(0, &samples, samples.len())
-        .expect("heavy chunk");
-    for _ in 0..40 {
-        let frame = Frame::data(0, u32::MAX, vec![tnb_dsp::Complex32::ZERO; 64]);
-        c.send_raw(&encode_frame(&frame)).expect("blast");
-    }
+    c.send_samples(0, &heavy, heavy.len()).expect("heavy chunk");
+    let blast: Vec<u8> = (0..40)
+        .flat_map(|_| {
+            encode_frame(&Frame::data(
+                0,
+                u32::MAX,
+                vec![tnb_dsp::Complex32::ZERO; 64],
+            ))
+        })
+        .collect();
+    c.send_raw(&blast).expect("blast");
     c.end_stream(0).expect("end");
     let _ = c.finish();
     let stats = gw.join();
@@ -150,44 +175,30 @@ fn reconnect_resume_continues_a_stream_mid_packet_byte_identically() {
     // resends from the last ack, the daemon replays undelivered uplink
     // lines — and the final transcript equals a clean run's, byte for
     // byte.
-    let p = params();
-    let gw = spawn_daemon(GatewayConfig {
-        ack_every: 4,
-        ..GatewayConfig::new(p)
-    });
     let plan = NetFaultPlan {
         name: "cut-mid-frame",
         seed: 0,
         faults: vec![NetFault::DisconnectAt { byte: 40_000 }],
         recoverable: true,
     };
-    let proxy = ChaosProxy::spawn(gw.local_addr(), plan).expect("proxy");
-    let mut client = resilient(proxy.local_addr());
+    let cfg = LoopbackConfig {
+        packets: 2,
+        chunk: 4096,
+        seed: 11,
+        faults: Some(plan),
+        ..LoopbackConfig::new(params())
+    };
+    let outcome = loopback::run(&cfg).expect("all frames acked after recovery");
+    let stats = outcome.stats;
 
-    let chunk = 4096;
-    let samples = collided_samples(p, 11, 2);
-    client.send_samples(0, &samples, chunk).expect("send");
-    client.end_stream(0).expect("end");
-    client.drain().expect("all frames acked after recovery");
-    let client_stats = client.stats();
-    let transcript = client.finish();
-    let stats = gw.join();
-
-    assert!(client_stats.reconnects >= 1, "{client_stats:?}");
-    assert!(client_stats.retransmitted_frames >= 1, "{client_stats:?}");
+    let client_stats = (outcome.reconnects, outcome.resent);
+    assert!(outcome.reconnects >= 1, "{client_stats:?}");
+    assert!(outcome.resent >= 1, "{client_stats:?}");
     assert!(stats.sessions_parked >= 1, "{stats:?}");
     assert!(stats.sessions_resumed >= 1, "{stats:?}");
     assert_eq!(stats.worker_panics, 0);
-
-    let quantized = quantize(&samples);
-    let (reference, _) = reference_transcript(p, StreamingConfig::default(), 0, &quantized, chunk);
-    let got: Vec<String> = transcript
-        .iter()
-        .filter(|l| l.starts_with("{\"type\":\"uplink\"") || l.starts_with("{\"type\":\"end\""))
-        .cloned()
-        .collect();
     assert_eq!(
-        got, reference,
+        outcome.daemon_lines, outcome.reference_lines,
         "recovered transcript must be byte-identical"
     );
 }
@@ -205,10 +216,15 @@ fn shutdown_with_streams_in_flight_drains_and_exits_clean() {
         ack_every: 1,
         ..GatewayConfig::new(p)
     });
-    let chunk = 4096;
-    let samples = collided_samples(p, 5, 2);
+    let cfg = LoopbackConfig {
+        packets: 2,
+        chunk: 4096,
+        seed: 5,
+        ..LoopbackConfig::new(p)
+    };
+    let samples = scene(&cfg, 0);
     let mut inflight = resilient(gw.local_addr());
-    inflight.send_samples(0, &samples, chunk).expect("send");
+    inflight.send_samples(0, &samples, cfg.chunk).expect("send");
     // No end_stream: the stream stays open. Wait until the daemon has
     // consumed (acked) every chunk, so the shutdown below races only
     // the flush, not the ingest.
@@ -220,16 +236,10 @@ fn shutdown_with_streams_in_flight_drains_and_exits_clean() {
     let _ = killer.finish();
     let stats = gw.join();
 
-    let transcript = inflight.finish();
-    let got: Vec<String> = transcript
-        .iter()
-        .filter(|l| l.starts_with("{\"type\":\"uplink\"") || l.starts_with("{\"type\":\"end\""))
-        .cloned()
-        .collect();
+    let got = uplink_transcript(&inflight.finish());
     // The shutdown flush equals a clean END-driven decode: push all
     // chunks, finish, end line.
-    let quantized = quantize(&samples);
-    let (reference, _) = reference_transcript(p, StreamingConfig::default(), 0, &quantized, chunk);
+    let (reference, _) = reference_transcript(&cfg, 0, &samples);
     assert_eq!(got, reference, "drained transcript must be complete");
     assert_eq!(stats.worker_panics, 0);
     assert_eq!(stats.protocol_errors, 0);

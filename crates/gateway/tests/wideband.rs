@@ -9,11 +9,10 @@
 
 use std::time::Duration;
 
-use tnb_gateway::wire::{encode_frame, quantize, Frame};
+use tnb_gateway::wire::{encode_frame, Frame};
 use tnb_gateway::{Gateway, GatewayClient, GatewayConfig};
 use tnb_phy::{CodingRate, LoRaParams, SpreadingFactor};
-use tnb_sim::gateway::{collided_samples, reference_transcript};
-use tnb_sim::wideband::{run_wideband_loopback, WidebandLoopbackConfig};
+use tnb_sim::loopback::{reference_transcript, run, scene, LoopbackConfig};
 
 fn params() -> LoRaParams {
     LoRaParams::new(SpreadingFactor::SF8, CodingRate::CR4)
@@ -21,14 +20,13 @@ fn params() -> LoRaParams {
 
 #[test]
 fn wideband_stream_uplinks_byte_identical_per_channel_lines() {
-    let cfg = WidebandLoopbackConfig::new(params());
-    let outcome = run_wideband_loopback(&cfg).expect("wideband loopback");
+    let cfg = LoopbackConfig::wideband(params());
+    let outcome = run(&cfg).expect("wideband loopback");
+    // One stream: its transcript is the whole connection's.
+    let daemon_lines = outcome.daemon_lines.concat();
 
     assert!(
-        outcome
-            .daemon_lines
-            .iter()
-            .any(|l| l.contains("\"uplink\"")),
+        daemon_lines.iter().any(|l| l.contains("\"uplink\"")),
         "daemon uplinked nothing: {:?}",
         outcome.daemon_lines
     );
@@ -37,7 +35,7 @@ fn wideband_stream_uplinks_byte_identical_per_channel_lines() {
         "wideband transcript diverged from the in-process reference"
     );
     // Every uplink line names its channel; only occupied channels appear.
-    for line in &outcome.daemon_lines {
+    for line in &daemon_lines {
         if line.contains("\"type\":\"uplink\"") {
             assert!(line.contains("\"channel\":"), "{line}");
         }
@@ -81,8 +79,14 @@ fn stream_with_seqs(
 #[test]
 fn duplicate_frames_are_dropped_and_counted_gaps_accepted() {
     let p = params();
-    let samples = collided_samples(p, 7, 2);
+    let mut cfg = LoopbackConfig {
+        packets: 2,
+        seed: 7,
+        ..LoopbackConfig::new(p)
+    };
+    let samples = scene(&cfg, 0);
     let chunk = samples.len().div_ceil(4);
+    cfg.chunk = chunk;
 
     // Chunks 0..4 sent as seqs [0, 1, 1, 2, 3]: the replayed seq-1 frame
     // (identical bytes, a retransmission) must be dropped, so the decode
@@ -102,8 +106,8 @@ fn duplicate_frames_are_dropped_and_counted_gaps_accepted() {
     let lines = c.finish();
     let stats = gw.join();
 
-    let (reference, uplinked) =
-        reference_transcript(p, Default::default(), 0, &quantize(&samples), chunk);
+    let (reference, per_channel) = reference_transcript(&cfg, 0, &samples);
+    let uplinked = per_channel[0];
     assert!(uplinked >= 1, "scene decodes at least one packet");
     assert_eq!(
         lines, reference,
@@ -117,8 +121,14 @@ fn duplicate_frames_are_dropped_and_counted_gaps_accepted() {
 #[test]
 fn seq_gap_is_counted_and_stream_keeps_decoding() {
     let p = params();
-    let samples = collided_samples(p, 9, 2);
+    let mut cfg = LoopbackConfig {
+        packets: 2,
+        seed: 9,
+        ..LoopbackConfig::new(p)
+    };
+    let samples = scene(&cfg, 0);
     let chunk = samples.len().div_ceil(4);
+    cfg.chunk = chunk;
 
     let gw = Gateway::spawn(("127.0.0.1", 0), GatewayConfig::new(p)).expect("bind");
     let mut c = GatewayClient::connect(gw.local_addr(), Duration::from_secs(5)).expect("connect");
@@ -131,7 +141,7 @@ fn seq_gap_is_counted_and_stream_keeps_decoding() {
 
     assert_eq!(stats.seq_gaps, 1, "{stats:?}");
     assert_eq!(stats.seq_dups, 0, "{stats:?}");
-    let (reference, _) = reference_transcript(p, Default::default(), 0, &quantize(&samples), chunk);
+    let (reference, _) = reference_transcript(&cfg, 0, &samples);
     assert_eq!(
         lines, reference,
         "a seq gap (with no actual sample loss) must not change the decode"
