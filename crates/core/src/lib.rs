@@ -33,6 +33,6 @@ pub use detect::{Detector, DetectorConfig};
 pub use packet::{same_transmission, DecodedPacket, DetectedPacket};
 pub use receiver::{DecodeOutcome, DecodeReport, DegradeReason, TnbConfig, TnbReceiver};
 pub use sic::SicConfig;
-pub use streaming::{StreamingConfig, StreamingReceiver};
+pub use streaming::{Overlap, Owned, StreamingConfig, StreamingReceiver};
 pub use tnb_metrics::{MetricsSnapshot, PipelineMetrics, Stage, StageCounters};
-pub use wideband::{ChannelPacket, WidebandConfig, WidebandReceiver};
+pub use wideband::{ChannelPacket, StreamDecoder, WidebandConfig, WidebandReceiver};

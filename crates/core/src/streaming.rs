@@ -4,7 +4,9 @@
 //! continuously. [`StreamingReceiver`] buffers incoming chunks, runs the
 //! batch receiver over a sliding window, emits each packet once, and
 //! keeps enough overlap that packets straddling a window boundary are
-//! decoded whole in the next round.
+//! decoded whole in the next round. [`Overlap`] sizes the window and the
+//! overlap; [`Owned`] decides which window owns a packet. Time-sharded
+//! decodes reuse both, so a shard and a continuous stream agree.
 
 use crate::packet::{same_transmission, DecodedPacket};
 use crate::receiver::{DecodeReport, TnbConfig, TnbReceiver};
@@ -48,23 +50,102 @@ impl Default for StreamingConfig {
     }
 }
 
+/// Overlap sizing of a stream decode, derived from its
+/// [`StreamingConfig`]: [`StreamingReceiver`]'s window and retained
+/// overlap, and the padding of a time shard decoded on its own.
+#[derive(Debug, Clone, Copy)]
+pub struct Overlap {
+    /// Buffered samples that trigger a batch decode.
+    pub window: usize,
+    /// Samples retained after each batch decode: two maximal packets, so
+    /// any packet starting in them is seen whole next time (one packet
+    /// plus a preamble of slack), and one more with SIC, whose rescue
+    /// window reaches one maximal packet past a decoded collider.
+    pub keep: usize,
+    /// `(lead, tail)` padding of a time shard decoded by a fresh
+    /// receiver: one window of collider context before the first owned
+    /// sample and the retained overlap after the last, each with one
+    /// sample per maximal packet (a fractional arrival delay lengthens a
+    /// waveform by one) and one symbol of slack.
+    pub shard_padding: (u64, u64),
+    /// Samples of one maximal packet.
+    max_packet: usize,
+}
+
+impl Overlap {
+    /// Overlap sizing for `cfg` at `params`.
+    pub fn new(params: LoRaParams, cfg: &StreamingConfig) -> Overlap {
+        let max_packet = Transmitter::new(params).packet_samples(cfg.max_payload);
+        let window = cfg.window_factor.max(2);
+        let keep = 2 + usize::from(cfg.receiver.sic.enabled);
+        let pad =
+            |packets: usize| (packets * (max_packet + 1) + params.samples_per_symbol()) as u64;
+        Overlap {
+            window: window * max_packet,
+            keep: keep * max_packet,
+            shard_padding: (pad(window), pad(keep)),
+            max_packet,
+        }
+    }
+}
+
+/// The transmissions a stream has claimed, by absolute start and CFO
+/// under [`same_transmission`]: a window owns a packet iff it claims it
+/// first.
+#[derive(Debug)]
+pub struct Owned {
+    samples_per_symbol: f64,
+    /// Absolute (start, cfo_cycles), in claim order.
+    claimed: Vec<(f64, f64)>,
+}
+
+impl Owned {
+    /// An empty claim set for streams at `params`.
+    pub fn new(params: LoRaParams) -> Owned {
+        let samples_per_symbol = params.samples_per_symbol() as f64;
+        Owned {
+            samples_per_symbol,
+            claimed: Vec::new(),
+        }
+    }
+
+    /// Claims the transmission at absolute `start`; if it is already
+    /// owned, returns the claim-order index of its oldest live owner.
+    pub fn claim(&mut self, start: f64, cfo_cycles: f64) -> Result<(), usize> {
+        let sps = self.samples_per_symbol;
+        let same = |&(s, c): &(f64, f64)| same_transmission(s, c, start, cfo_cycles, sps);
+        match self.claimed.iter().position(same) {
+            Some(owner) => Err(owner),
+            None => {
+                self.claimed.push((start, cfo_cycles));
+                Ok(())
+            }
+        }
+    }
+
+    /// Drops the claims that start before `start`.
+    pub fn forget_before(&mut self, start: f64) {
+        self.claimed.retain(|&(s, _)| s >= start);
+    }
+
+    /// Drops every claim.
+    pub fn clear(&mut self) {
+        self.claimed.clear();
+    }
+}
+
 /// Incremental receiver: push sample chunks, collect decoded packets.
 ///
 /// Packet `start` fields are *absolute* sample indices in the stream (not
 /// window-relative).
 pub struct StreamingReceiver {
     rx: TnbReceiver,
-    cfg: StreamingConfig,
-    /// Samples of one maximal packet, used for overlap sizing.
-    max_packet_samples: usize,
+    overlap: Overlap,
     buffer: Vec<Complex32>,
     /// Absolute index of `buffer[0]` in the stream.
     base: u64,
-    /// Absolute (start, cfo_cycles) of already emitted packets, for
-    /// deduplication in the overlap region under the same
-    /// [`same_transmission`] predicate the detector uses.
-    emitted: Vec<(f64, f64)>,
-    samples_per_symbol: f64,
+    /// Already emitted packets, for deduplication in the overlap region.
+    owned: Owned,
     /// Cumulative observability across all batch decodes of the stream.
     metrics: PipelineMetrics,
     report: DecodeReport,
@@ -78,18 +159,15 @@ impl StreamingReceiver {
 
     /// Creates a streaming receiver with a custom configuration.
     pub fn with_config(params: LoRaParams, cfg: StreamingConfig) -> Self {
-        let max_packet_samples = Transmitter::new(params).packet_samples(cfg.max_payload);
         let rx = TnbReceiver::with_config(params, cfg.receiver)
             .with_workers(cfg.workers)
             .with_max_payload_len(cfg.max_payload.max(1));
         StreamingReceiver {
             rx,
-            cfg,
-            max_packet_samples,
+            overlap: Overlap::new(params, &cfg),
             buffer: Vec::new(),
             base: 0,
-            emitted: Vec::new(),
-            samples_per_symbol: params.samples_per_symbol() as f64,
+            owned: Owned::new(params),
             metrics: if cfg.observe {
                 PipelineMetrics::enabled()
             } else {
@@ -121,24 +199,18 @@ impl StreamingReceiver {
     /// Feeds a chunk of samples; returns any packets completed by it.
     pub fn push(&mut self, samples: &[Complex32]) -> Vec<DecodedPacket> {
         self.buffer.extend_from_slice(samples);
-        let window = self.cfg.window_factor.max(2) * self.max_packet_samples;
-        if self.buffer.len() < window {
+        if self.buffer.len() < self.overlap.window {
             return Vec::new();
         }
         let out = self.process();
-        // Keep enough overlap that any packet starting inside the kept
-        // region is seen whole next time (one maximal packet plus one
-        // preamble of slack). With SIC enabled the rescue window extends
-        // one extra maximal packet past a decoded collider, so retain
-        // one more airtime of overlap.
-        let keep = (2 + usize::from(self.cfg.receiver.sic.enabled)) * self.max_packet_samples;
+        let keep = self.overlap.keep;
         if self.buffer.len() > keep {
             let drop = self.buffer.len() - keep;
             self.buffer.drain(..drop);
             self.base += drop as u64;
         }
-        self.emitted
-            .retain(|&(s, _)| s >= self.base as f64 - self.max_packet_samples as f64);
+        self.owned
+            .forget_before(self.base as f64 - self.overlap.max_packet as f64);
         out
     }
 
@@ -151,7 +223,7 @@ impl StreamingReceiver {
     pub fn finish(&mut self) -> Vec<DecodedPacket> {
         let out = self.process();
         self.buffer.clear();
-        self.emitted.clear();
+        self.owned.clear();
         self.base = 0;
         out
     }
@@ -163,34 +235,22 @@ impl StreamingReceiver {
         let (decoded, mut report) = self
             .rx
             .decode_multi_report_observed(&[&self.buffer], &self.metrics);
-        // A rescue that was already emitted from a previous window gets
-        // re-decoded from the retained overlap; drop those duplicates
-        // from the rescue tally before absorbing so the cumulative
-        // report counts each rescued transmission once per stream.
-        let dup_rescues = decoded
-            .iter()
-            .filter(|d| d.pass >= 2)
-            .filter(|d| {
-                let absolute = self.base as f64 + d.start;
-                self.emitted.iter().any(|&(s, c)| {
-                    same_transmission(s, c, absolute, d.cfo_cycles, self.samples_per_symbol)
-                })
-            })
-            .count();
-        report.second_pass_rescues = report.second_pass_rescues.saturating_sub(dup_rescues);
-        self.report.absorb(&report);
+        let claimed_before = self.owned.claimed.len();
+        let mut dup_rescues = 0;
         let mut out = Vec::new();
         for mut d in decoded {
-            let absolute = self.base as f64 + d.start;
-            if self.emitted.iter().any(|&(s, cfo)| {
-                same_transmission(s, cfo, absolute, d.cfo_cycles, self.samples_per_symbol)
-            }) {
-                continue;
+            d.start += self.base as f64;
+            match self.owned.claim(d.start, d.cfo_cycles) {
+                Ok(()) => out.push(d),
+                // A rescue that an earlier window already emitted was
+                // re-decoded from the retained overlap: drop it from the
+                // rescue tally so the cumulative report counts each
+                // rescued transmission once per stream.
+                Err(owner) => dup_rescues += usize::from(d.pass >= 2 && owner < claimed_before),
             }
-            self.emitted.push((absolute, d.cfo_cycles));
-            d.start = absolute;
-            out.push(d);
         }
+        report.second_pass_rescues = report.second_pass_rescues.saturating_sub(dup_rescues);
+        self.report.absorb(&report);
         out
     }
 }
@@ -212,6 +272,33 @@ mod tests {
         assert_eq!(s.position(), 1000);
         s.push(&[Complex32::ZERO; 234]);
         assert_eq!(s.position(), 1234);
+    }
+
+    #[test]
+    fn shard_padding_covers_the_window_and_the_overlap() {
+        // The deploy shards rely on this: a shard's lead context is at
+        // least one decode window, its tail at least the retained overlap.
+        for sic in [false, true] {
+            let mut cfg = StreamingConfig::default();
+            cfg.receiver.sic.enabled = sic;
+            let o = Overlap::new(params(), &cfg);
+            let (lead, tail) = o.shard_padding;
+            assert!(lead >= o.window as u64, "sic {sic}: lead {lead} < window");
+            assert!(tail >= o.keep as u64, "sic {sic}: tail {tail} < overlap");
+            assert!(o.window > o.keep, "sic {sic}: no room to advance");
+        }
+    }
+
+    #[test]
+    fn owned_claims_once_and_names_the_oldest_owner() {
+        let mut o = Owned::new(params());
+        assert_eq!(o.claim(1000.0, 0.0), Ok(()));
+        assert_eq!(o.claim(5000.0, 0.0), Ok(()));
+        assert_eq!(o.claim(1010.0, 1.0), Err(0));
+        assert_eq!(o.claim(1000.0, 2.0), Ok(()), "2 bins of CFO apart");
+        o.forget_before(2000.0);
+        assert_eq!(o.claim(1000.0, 0.0), Ok(()), "forgotten claims own nothing");
+        assert_eq!(o.claim(5000.0, 0.0), Err(0));
     }
 
     #[test]

@@ -9,11 +9,15 @@
 //! standalone receivers yields byte-identical packets and reports (the
 //! channelizer is chunk-invariant and every decoder sees the same
 //! per-channel sample sequence either way).
+//!
+//! [`StreamDecoder`] is the one place a stream picks between the two
+//! front-ends: the gateway daemon and the deploy shards both drive it.
 
 use crate::packet::DecodedPacket;
 use crate::receiver::DecodeReport;
 use crate::streaming::{StreamingConfig, StreamingReceiver};
 use tnb_dsp::{Channelizer, ChannelizerConfig, Complex32};
+use tnb_metrics::MetricsSnapshot;
 use tnb_phy::params::LoRaParams;
 
 /// Wideband front-end configuration.
@@ -115,6 +119,96 @@ impl WidebandReceiver {
         self.chan.reset();
         out
     }
+}
+
+/// One stream's decoder: a narrowband [`StreamingReceiver`] or a
+/// channelized [`WidebandReceiver`], chosen once at construction.
+/// Packets come out as `(channel, packet)`, with `None` for the channel
+/// of a narrowband stream.
+pub enum StreamDecoder {
+    /// One receiver on the stream's own clock.
+    Narrow(Box<StreamingReceiver>),
+    /// A channelizer feeding per-channel receivers.
+    Wide(WidebandReceiver),
+}
+
+impl StreamDecoder {
+    /// A narrowband decoder with `cfg.streaming`, or a wideband one with
+    /// all of `cfg` when `wideband`.
+    pub fn new(params: LoRaParams, cfg: &WidebandConfig, wideband: bool) -> Self {
+        if wideband {
+            StreamDecoder::Wide(WidebandReceiver::with_config(params, *cfg))
+        } else {
+            StreamDecoder::Narrow(Box::new(StreamingReceiver::with_config(
+                params,
+                cfg.streaming,
+            )))
+        }
+    }
+
+    /// Whether this is the wideband front-end.
+    pub fn is_wideband(&self) -> bool {
+        matches!(self, StreamDecoder::Wide(_))
+    }
+
+    /// Feeds one chunk of input samples; returns the packets it completed.
+    pub fn push(&mut self, samples: &[Complex32]) -> Vec<(Option<usize>, DecodedPacket)> {
+        match self {
+            StreamDecoder::Narrow(rx) => tag_narrow(rx.push(samples)),
+            StreamDecoder::Wide(rx) => tag_wide(rx.push(samples)),
+        }
+    }
+
+    /// Flushes the stream's tail and resets for a fresh stream.
+    pub fn finish(&mut self) -> Vec<(Option<usize>, DecodedPacket)> {
+        match self {
+            StreamDecoder::Narrow(rx) => tag_narrow(rx.finish()),
+            StreamDecoder::Wide(rx) => tag_wide(rx.finish()),
+        }
+    }
+
+    /// Cumulative decode report (wideband: absorbed across channels).
+    pub fn report(&self) -> DecodeReport {
+        match self {
+            StreamDecoder::Narrow(rx) => rx.report(),
+            StreamDecoder::Wide(rx) => {
+                let mut all = DecodeReport::default();
+                for r in rx.reports() {
+                    all.absorb(&r);
+                }
+                all
+            }
+        }
+    }
+
+    /// Cumulative pipeline metrics. Wideband streams don't aggregate
+    /// wall-time metrics across channels (the per-channel receivers
+    /// observe independently), so theirs read all zeros.
+    pub fn metrics_snapshot(&self) -> MetricsSnapshot {
+        match self {
+            StreamDecoder::Narrow(rx) => rx.metrics_snapshot(),
+            StreamDecoder::Wide(_) => MetricsSnapshot::default(),
+        }
+    }
+
+    /// Samples consumed so far, on the stream's own input clock
+    /// (wideband streams consume `M` input samples per channel sample).
+    pub fn position(&self) -> u64 {
+        match self {
+            StreamDecoder::Narrow(rx) => rx.position(),
+            StreamDecoder::Wide(rx) => rx.position(0) * rx.channels() as u64,
+        }
+    }
+}
+
+fn tag_narrow(pkts: Vec<DecodedPacket>) -> Vec<(Option<usize>, DecodedPacket)> {
+    pkts.into_iter().map(|p| (None, p)).collect()
+}
+
+fn tag_wide(pkts: Vec<ChannelPacket>) -> Vec<(Option<usize>, DecodedPacket)> {
+    pkts.into_iter()
+        .map(|cp| (Some(cp.channel), cp.packet))
+        .collect()
 }
 
 #[cfg(test)]

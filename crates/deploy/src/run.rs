@@ -3,26 +3,28 @@
 //!
 //! The timeline splits into fixed-length shards (a pure function of the
 //! config — never of the worker count). Each task synthesizes its shard
-//! window with pre/post padding, streams it through a fresh
-//! [`StreamingReceiver`] (or [`WidebandReceiver`]), and keeps only the
-//! decodes whose start falls inside the shard it owns. A
-//! work-stealing `std::thread::scope` pool executes tasks in any order;
-//! results land in a slot per task id and merge in task order, so the
-//! output — down to the uplink-line bytes — is identical for 1, 2 or 8
-//! workers.
+//! window padded by [`Overlap::shard_padding`], streams it through a
+//! fresh [`StreamDecoder`], and keeps only the decodes whose start falls
+//! inside the shard it owns. A work-stealing `std::thread::scope` pool
+//! executes tasks in any order; results land in a slot per task id and
+//! merge in task order through one [`Owned`] claim set per channel, so
+//! the output — down to the uplink-line bytes — is identical for 1, 2
+//! or 8 workers. The padding, the claim set and the narrowband|wideband
+//! switch all come from `tnb-core`, shared with the streaming receivers
+//! and the gateway daemon, so a shard decodes exactly as they do.
 
 use crate::network::NetworkReport;
 use crate::synth::Scene;
 use crate::TrafficModel;
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use tnb_core::{
-    same_transmission, DecodedPacket, SicConfig, StreamingConfig, StreamingReceiver, TnbConfig,
-    WidebandConfig, WidebandReceiver,
+    DecodedPacket, Overlap, Owned, SicConfig, StreamDecoder, StreamingConfig, TnbConfig,
+    WidebandConfig,
 };
 use tnb_dsp::ChannelizerConfig;
 use tnb_gateway::uplink;
-use tnb_phy::Transmitter;
 use tnb_sim::traffic::PAYLOAD_LEN;
 
 /// One decode task: a gateway's shard of the timeline at one SF.
@@ -33,12 +35,13 @@ struct Task {
     shard: u64,
 }
 
-/// One decoded packet attributed to where it was heard. `packet.start`
-/// is absolute on the gateway's channel-rate sample clock.
+/// One decoded packet attributed to where it was heard (`channel` is
+/// `None` on a narrowband gateway). `packet.start` is absolute on the
+/// gateway's channel-rate sample clock.
 #[derive(Debug, Clone)]
 struct Heard {
     sf_idx: usize,
-    channel: usize,
+    channel: Option<usize>,
     packet: DecodedPacket,
 }
 
@@ -114,28 +117,18 @@ pub fn run_deploy(scene: &Scene, workers: usize) -> DeployReport {
     };
 
     // Merge in task order: per (gateway, SF), shards concatenate in
-    // time order and boundary duplicates collapse under the same
-    // `same_transmission` predicate the receivers use internally.
+    // time order and boundary duplicates collapse under one claim set
+    // per (gateway, SF, channel), the one the receivers use internally.
     let mut per_gateway: Vec<Vec<Heard>> = vec![Vec::new(); cfg.gateways.max(1) as usize];
-    let mut it = slots.into_iter();
-    for gw in 0..cfg.gateways.max(1) {
-        for sf_idx in 0..n_sfs {
-            let sps = scene.params(sf_idx).samples_per_symbol() as f64;
-            let mut kept: Vec<(usize, f64, f64)> = Vec::new(); // (channel, start, cfo)
-            for _shard in 0..n_shards {
-                let heard = it.next().flatten().unwrap_or_default();
-                for h in heard {
-                    let dup = kept.iter().any(|&(c, st, cf)| {
-                        c == h.channel
-                            && same_transmission(st, cf, h.packet.start, h.packet.cfo_cycles, sps)
-                    });
-                    if dup {
-                        continue;
-                    }
-                    kept.push((h.channel, h.packet.start, h.packet.cfo_cycles));
-                    if let Some(bucket) = per_gateway.get_mut(gw as usize) {
-                        bucket.push(h);
-                    }
+    let mut owned: BTreeMap<(u32, usize, Option<usize>), Owned> = BTreeMap::new();
+    for (t, heard) in tasks.iter().zip(slots) {
+        for h in heard.unwrap_or_default() {
+            let claims = owned
+                .entry((t.gw, t.sf_idx, h.channel))
+                .or_insert_with(|| Owned::new(scene.params(t.sf_idx)));
+            if claims.claim(h.packet.start, h.packet.cfo_cycles).is_ok() {
+                if let Some(bucket) = per_gateway.get_mut(t.gw as usize) {
+                    bucket.push(h);
                 }
             }
         }
@@ -155,11 +148,8 @@ pub fn run_deploy(scene: &Scene, workers: usize) -> DeployReport {
         let mut lines = Vec::with_capacity(heard.len());
         for (n, h) in heard.iter().enumerate() {
             let params = scene.params(h.sf_idx);
-            let line = if cfg.wideband {
-                uplink::uplink_line_on_channel(&params, gw as u32, n as u64, h.channel, &h.packet)
-            } else {
-                uplink::uplink_line(&params, gw as u32, n as u64, &h.packet)
-            };
+            let line =
+                uplink::tagged_uplink_line(&params, gw as u32, n as u64, h.channel, &h.packet);
             lines.push(line);
         }
         uplinks.push(lines);
@@ -194,25 +184,6 @@ pub fn run_deploy(scene: &Scene, workers: usize) -> DeployReport {
 fn decode_task(scene: &Scene, t: Task, total: u64, shard_len: u64, n_shards: u64) -> Vec<Heard> {
     let cfg = &scene.cfg;
     let params = scene.params(t.sf_idx);
-    let max_pkt = (Transmitter::new(params).packet_samples(PAYLOAD_LEN) + 1) as u64;
-    let sps = params.samples_per_symbol() as u64;
-    // Pre-padding gives the decoder one full batch window of context
-    // before the first owned sample (Thrive's peak matching sees the
-    // same colliders a continuous receiver would); post-padding lets a
-    // packet starting at the shard's last sample finish (plus one
-    // extra airtime for the SIC rescue window).
-    let pre = 4 * max_pkt + sps;
-    let post = (2 + u64::from(cfg.sic)) * max_pkt + sps;
-    let shard_lo = t.shard * shard_len;
-    let shard_hi = (shard_lo + shard_len).min(total);
-    let a = shard_lo.saturating_sub(pre);
-    let b = (shard_hi + post).min(total);
-    let upper = if t.shard + 1 >= n_shards {
-        f64::INFINITY
-    } else {
-        shard_hi as f64
-    };
-
     let streaming = StreamingConfig {
         receiver: TnbConfig {
             noise_power: Some(1.0),
@@ -223,61 +194,47 @@ fn decode_task(scene: &Scene, t: Task, total: u64, shard_len: u64, n_shards: u64
             ..TnbConfig::default()
         },
         max_payload: PAYLOAD_LEN,
-        window_factor: 4,
-        observe: false,
-        workers: 1,
+        ..StreamingConfig::default()
     };
+    let (lead, tail) = Overlap::new(params, &streaming).shard_padding;
+    let shard_lo = t.shard * shard_len;
+    let shard_hi = (shard_lo + shard_len).min(total);
+    let a = shard_lo.saturating_sub(lead);
+    let b = (shard_hi + tail).min(total);
+    let upper = if t.shard + 1 >= n_shards {
+        f64::INFINITY
+    } else {
+        shard_hi as f64
+    };
+
+    let wideband = WidebandConfig {
+        channelizer: ChannelizerConfig {
+            channels: cfg.channels.max(1),
+            ..ChannelizerConfig::default()
+        },
+        streaming,
+    };
+    let mut rx = StreamDecoder::new(params, &wideband, cfg.wideband);
     let chunk = (cfg.chunk_samples.max(1024)) as u64;
-    let mut out = Vec::new();
-    let keep = |channel: usize, mut p: DecodedPacket, out: &mut Vec<Heard>| {
-        p.start += a as f64;
-        if p.start >= shard_lo as f64 && p.start < upper {
-            out.push(Heard {
+    let mut decoded = Vec::new();
+    let mut pos = a;
+    while pos < b {
+        let e = (pos + chunk).min(b);
+        decoded.extend(rx.push(&scene.synth_stream(t.gw, pos, e)));
+        pos = e;
+    }
+    decoded.extend(rx.finish());
+    decoded
+        .into_iter()
+        .filter_map(|(channel, mut packet)| {
+            packet.start += a as f64;
+            (packet.start >= shard_lo as f64 && packet.start < upper).then_some(Heard {
                 sf_idx: t.sf_idx,
                 channel,
-                packet: p,
-            });
-        }
-    };
-    if cfg.wideband {
-        let mut rx = WidebandReceiver::with_config(
-            params,
-            WidebandConfig {
-                channelizer: ChannelizerConfig {
-                    channels: cfg.channels.max(1),
-                    ..ChannelizerConfig::default()
-                },
-                streaming,
-            },
-        );
-        let mut pos = a;
-        while pos < b {
-            let e = (pos + chunk).min(b);
-            let w = scene.synth_window_wideband(t.gw, pos, e);
-            for cp in rx.push(&w) {
-                keep(cp.channel, cp.packet, &mut out);
-            }
-            pos = e;
-        }
-        for cp in rx.finish() {
-            keep(cp.channel, cp.packet, &mut out);
-        }
-    } else {
-        let mut rx = StreamingReceiver::with_config(params, streaming);
-        let mut pos = a;
-        while pos < b {
-            let e = (pos + chunk).min(b);
-            let w = scene.synth_window(t.gw, pos, e);
-            for p in rx.push(&w) {
-                keep(0, p, &mut out);
-            }
-            pos = e;
-        }
-        for p in rx.finish() {
-            keep(0, p, &mut out);
-        }
-    }
-    out
+                packet,
+            })
+        })
+        .collect()
 }
 
 impl DeployReport {

@@ -150,15 +150,22 @@ impl Scene {
         out
     }
 
+    /// Samples `[a, b)` (channel-rate bounds) of gateway `gw`'s stream
+    /// as its receiver sees it: the wideband capture in wideband mode,
+    /// the channel-rate stream otherwise.
+    pub fn synth_stream(&self, gw: u32, a: u64, b: u64) -> Vec<Complex32> {
+        if self.cfg.wideband {
+            self.synth_window_wideband(gw, a, b)
+        } else {
+            self.synth_window(gw, a, b)
+        }
+    }
+
     /// The whole stream of one gateway in a single allocation — the
     /// materialized reference the chunked path is tested against. Only
     /// sized for test scenes.
     pub fn materialize(&self, gw: u32) -> Vec<Complex32> {
-        if self.cfg.wideband {
-            self.synth_window_wideband(gw, 0, self.total_samples())
-        } else {
-            self.synth_window(gw, 0, self.total_samples())
-        }
+        self.synth_stream(gw, 0, self.total_samples())
     }
 
     /// Renders every transmission overlapping `[a, b)` (wideband-rate

@@ -126,11 +126,6 @@ impl Channelizer {
         self.m
     }
 
-    /// Prototype filter length (`M · taps_per_phase`).
-    pub fn filter_len(&self) -> usize {
-        self.delay.len()
-    }
-
     /// Center-frequency offset of channel `c` as a fraction of the
     /// wideband input rate: `(c − M/2)/M`.
     pub fn channel_offset(&self, c: usize) -> f64 {

@@ -8,7 +8,7 @@
 //! - [`wire`] — the versioned, CRC-checked binary framing for IQ chunks
 //!   (interleaved i16 IQ at 1 Msps) plus control verbs.
 //! - [`server`] — the `std::net` TCP daemon: one reader + one decoder
-//!   thread per connection, per-stream [`tnb_core::StreamingReceiver`]s,
+//!   thread per connection, per-stream [`tnb_core::StreamDecoder`]s,
 //!   bounded drop-oldest ingest queues, and `catch_unwind` fault
 //!   containment.
 //! - [`uplink`] — the JSON-lines uplink format for decoded packets

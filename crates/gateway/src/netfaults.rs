@@ -180,7 +180,8 @@ impl NetFaultPlan {
 pub struct ProxyStats {
     /// Connections proxied.
     pub connections: tnb_metrics::SharedCounter,
-    /// Client→daemon bytes forwarded (post-fault).
+    /// Client→daemon bytes forwarded (post-fault). Both byte counters
+    /// are bumped before the write, so a peer never outruns them.
     pub bytes_up: tnb_metrics::SharedCounter,
     /// Daemon→client bytes forwarded.
     pub bytes_down: tnb_metrics::SharedCounter,
@@ -338,10 +339,12 @@ fn pump_clean(mut src: TcpStream, mut dst: TcpStream, stats: &ProxyStats, shutdo
         match src.read(&mut buf) {
             Ok(0) => break,
             Ok(n) => {
+                // Count before the write: a peer that has read every
+                // byte must never see a lower count.
+                stats.bytes_down.add(n as u64);
                 if dst.write_all(&buf[..n]).is_err() {
                     break;
                 }
-                stats.bytes_down.add(n as u64);
             }
             Err(e)
                 if matches!(
@@ -506,9 +509,9 @@ fn forward(
             }
         }
         let burst = max_burst.unwrap_or(data.len() - off).min(data.len() - off);
+        stats.bytes_up.add(burst as u64); // before the write, as in `pump_clean`
         dst.write_all(&data[off..off + burst])?;
         *sent += burst as u64;
-        stats.bytes_up.add(burst as u64);
         off += burst;
     }
     if kill_after.is_some() {

@@ -1,12 +1,12 @@
 //! The gateway daemon: a `std::net` TCP server feeding per-stream
-//! [`StreamingReceiver`]s from framed IQ connections.
+//! [`StreamDecoder`]s from framed IQ connections.
 //!
 //! # Thread model
 //!
 //! ```text
 //! accept loop ──► one connection thread per client
 //!                   ├─ reader  (this thread): FrameReader::poll → Ingest queue
-//!                   └─ decoder (spawned):     Ingest queue → StreamingReceiver
+//!                   └─ decoder (spawned):     Ingest queue → StreamDecoder
 //!                                              → uplink JSON lines on the socket
 //! ```
 //!
@@ -47,7 +47,7 @@
 //!   are answered with a `busy` line and closed (`busy_rejects`).
 //!
 //! All timing on the *uplink path* still comes from the sample clock
-//! ([`StreamingReceiver::position`]); decoded output never depends on
+//! ([`StreamDecoder::position`]); decoded output never depends on
 //! the wall clock, so a replayed stream uplinks byte-identical lines.
 
 use std::collections::{BTreeMap, VecDeque};
@@ -62,10 +62,7 @@ use std::time::{Duration, Instant};
 use crate::stats::{GatewayStats, GatewayStatsSnapshot};
 use crate::uplink;
 use crate::wire::{FrameKind, FrameReader, ReadStep};
-use tnb_core::{
-    DecodeReport, MetricsSnapshot, StreamingConfig, StreamingReceiver, WidebandConfig,
-    WidebandReceiver,
-};
+use tnb_core::{DecodeReport, MetricsSnapshot, StreamDecoder, StreamingConfig, WidebandConfig};
 use tnb_dsp::{ChannelizerConfig, Complex32};
 use tnb_phy::LoRaParams;
 
@@ -685,21 +682,24 @@ fn read_loop(
     }
 }
 
-/// The decode engine of one stream: narrowband (one receiver) or
-/// wideband (channelizer feeding per-channel receivers). The mode is
-/// latched by the stream's first DATA frame's WIDEBAND flag.
-enum Rx {
-    Narrow(Box<StreamingReceiver>),
-    Wide(WidebandReceiver),
-}
-
 /// One stream's decode state inside a connection.
 struct Session {
-    rx: Rx,
+    /// The decode engine; its narrowband/wideband mode is latched by
+    /// the stream's first DATA frame's WIDEBAND flag.
+    rx: StreamDecoder,
     next_seq: u32,
     uplinked: u64,
     /// Chunks consumed by the decoder (drives the ack cadence).
     processed: u64,
+}
+
+/// A fresh decode engine for one stream.
+fn decoder(cfg: &GatewayConfig, wideband: bool) -> StreamDecoder {
+    let wb = WidebandConfig {
+        channelizer: cfg.channelizer,
+        streaming: cfg.streaming,
+    };
+    StreamDecoder::new(cfg.params, &wb, wideband)
 }
 
 /// What remains of a stream after END_STREAM: enough to recognize (and
@@ -714,54 +714,11 @@ struct FinishedStream {
 
 impl Session {
     fn new(cfg: &GatewayConfig, wideband: bool) -> Session {
-        let rx = if wideband {
-            Rx::Wide(WidebandReceiver::with_config(
-                cfg.params,
-                WidebandConfig {
-                    channelizer: cfg.channelizer,
-                    streaming: cfg.streaming,
-                },
-            ))
-        } else {
-            Rx::Narrow(Box::new(StreamingReceiver::with_config(
-                cfg.params,
-                cfg.streaming,
-            )))
-        };
         Session {
-            rx,
+            rx: decoder(cfg, wideband),
             next_seq: 0,
             uplinked: 0,
             processed: 0,
-        }
-    }
-
-    fn is_wideband(&self) -> bool {
-        matches!(self.rx, Rx::Wide(_))
-    }
-
-    /// Feeds one chunk; returns `(channel, packet)` pairs (`None` on a
-    /// narrowband stream).
-    fn push(&mut self, samples: &[Complex32]) -> Vec<(Option<usize>, tnb_core::DecodedPacket)> {
-        match &mut self.rx {
-            Rx::Narrow(rx) => rx.push(samples).into_iter().map(|p| (None, p)).collect(),
-            Rx::Wide(rx) => rx
-                .push(samples)
-                .into_iter()
-                .map(|cp| (Some(cp.channel), cp.packet))
-                .collect(),
-        }
-    }
-
-    /// Flushes the stream's tail at end of stream.
-    fn finish(&mut self) -> Vec<(Option<usize>, tnb_core::DecodedPacket)> {
-        match &mut self.rx {
-            Rx::Narrow(rx) => rx.finish().into_iter().map(|p| (None, p)).collect(),
-            Rx::Wide(rx) => rx
-                .finish()
-                .into_iter()
-                .map(|cp| (Some(cp.channel), cp.packet))
-                .collect(),
         }
     }
 
@@ -776,45 +733,10 @@ impl Session {
         up: &mut Uplink,
     ) {
         for (chan, p) in pkts {
-            let line = match chan {
-                Some(c) => uplink::uplink_line_on_channel(params, stream_id, self.uplinked, *c, p),
-                None => uplink::uplink_line(params, stream_id, self.uplinked, p),
-            };
+            let line = uplink::tagged_uplink_line(params, stream_id, self.uplinked, *chan, p);
             self.uplinked += 1;
             stats.packets_uplinked.inc();
             up.session(&line, stats);
-        }
-    }
-
-    /// Cumulative decode report (wideband: absorbed across channels).
-    fn report(&self) -> DecodeReport {
-        match &self.rx {
-            Rx::Narrow(rx) => rx.report(),
-            Rx::Wide(rx) => {
-                let mut all = DecodeReport::default();
-                for r in rx.reports() {
-                    all.absorb(&r);
-                }
-                all
-            }
-        }
-    }
-
-    fn metrics_snapshot(&self) -> MetricsSnapshot {
-        match &self.rx {
-            Rx::Narrow(rx) => rx.metrics_snapshot(),
-            // Wideband streams don't aggregate wall-time metrics across
-            // channels (the per-channel receivers observe independently).
-            Rx::Wide(_) => MetricsSnapshot::default(),
-        }
-    }
-
-    /// Samples consumed so far, on the stream's own input clock
-    /// (wideband streams consume `M` input samples per channel sample).
-    fn position(&self) -> u64 {
-        match &self.rx {
-            Rx::Narrow(rx) => rx.position(),
-            Rx::Wide(rx) => rx.position(0) * rx.channels() as u64,
         }
     }
 }
@@ -897,7 +819,7 @@ impl ConnState {
 }
 
 /// Drains the ingest queue, decoding each stream with its own
-/// [`StreamingReceiver`] and writing uplink JSON lines to `write_half`.
+/// [`StreamDecoder`] and writing uplink JSON lines to `write_half`.
 fn decode_loop(
     ingest: &Ingest,
     write_half: TcpStream,
@@ -957,18 +879,11 @@ fn decode_loop(
                 // Fault containment: a panicking decode restarts this
                 // stream's receiver (sample clock rebases); every other
                 // stream and connection is untouched.
-                let pkts = match catch_unwind(AssertUnwindSafe(|| s.push(&samples))) {
+                let pkts = match catch_unwind(AssertUnwindSafe(|| s.rx.push(&samples))) {
                     Ok(pkts) => pkts,
                     Err(_) => {
                         stats.worker_panics.inc();
-                        let wide = s.is_wideband();
-                        let uplinked = s.uplinked;
-                        let next_seq = s.next_seq;
-                        let processed = s.processed;
-                        *s = Session::new(&cfg, wide);
-                        s.uplinked = uplinked;
-                        s.next_seq = next_seq;
-                        s.processed = processed;
+                        s.rx = decoder(&cfg, s.rx.is_wideband());
                         Vec::new()
                     }
                 };
@@ -1013,8 +928,8 @@ fn decode_loop(
                 let mut report = state.closed_report.clone();
                 let mut metrics = state.last_metrics;
                 for s in state.sessions.values() {
-                    report.absorb(&s.report());
-                    metrics = s.metrics_snapshot();
+                    report.absorb(&s.rx.report());
+                    metrics = s.rx.metrics_snapshot();
                 }
                 let line = uplink::stats_line(&stats.snapshot(), &report, &metrics);
                 up.session(&line, stats);
@@ -1171,7 +1086,7 @@ fn finish_session(
     closed_report: &mut DecodeReport,
     last_metrics: &mut MetricsSnapshot,
 ) {
-    let pkts = match catch_unwind(AssertUnwindSafe(|| s.finish())) {
+    let pkts = match catch_unwind(AssertUnwindSafe(|| s.rx.finish())) {
         Ok(pkts) => pkts,
         Err(_) => {
             stats.worker_panics.inc();
@@ -1179,10 +1094,10 @@ fn finish_session(
         }
     };
     s.uplink(stream_id, &pkts, &cfg.params, stats, up);
-    let report = s.report();
-    *last_metrics = s.metrics_snapshot();
+    let report = s.rx.report();
+    *last_metrics = s.rx.metrics_snapshot();
     up.session(
-        &uplink::end_line(stream_id, s.position(), s.uplinked, &report),
+        &uplink::end_line(stream_id, s.rx.position(), s.uplinked, &report),
         stats,
     );
     closed_report.absorb(&report);

@@ -70,7 +70,7 @@ pub fn sample_clock_us(start: f64, params: &LoRaParams) -> u64 {
 /// reuses the per-packet schema of `DecodeReport.outcomes` (`tnb-cli
 /// report --json`), so consumers parse both feeds the same way.
 pub fn uplink_line(params: &LoRaParams, stream_id: u32, n: u64, pkt: &DecodedPacket) -> String {
-    uplink_line_impl(params, stream_id, n, None, pkt)
+    tagged_uplink_line(params, stream_id, n, None, pkt)
 }
 
 /// Like [`uplink_line`] but for a wideband stream: tags the line with
@@ -83,10 +83,13 @@ pub fn uplink_line_on_channel(
     channel: usize,
     pkt: &DecodedPacket,
 ) -> String {
-    uplink_line_impl(params, stream_id, n, Some(channel), pkt)
+    tagged_uplink_line(params, stream_id, n, Some(channel), pkt)
 }
 
-fn uplink_line_impl(
+/// [`uplink_line`] for a `(channel, packet)` pair of a
+/// [`tnb_core::StreamDecoder`]: channel-tagged when `channel` is `Some`
+/// (wideband), plain otherwise.
+pub fn tagged_uplink_line(
     params: &LoRaParams,
     stream_id: u32,
     n: u64,

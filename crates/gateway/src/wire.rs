@@ -29,7 +29,7 @@
 //! matter what one socket feeds it.
 
 use std::fmt;
-use std::io::{self, Read, Write};
+use std::io::{self, Read};
 use tnb_channel::io::{read_iq16, write_iq16, IQ16_SCALE};
 use tnb_dsp::Complex32;
 
@@ -419,11 +419,6 @@ pub fn encode_frame(frame: &Frame) -> Vec<u8> {
     let crc = crc32(&out);
     out.extend_from_slice(&crc.to_le_bytes());
     out
-}
-
-/// Writes one frame to a stream.
-pub fn write_frame<W: Write>(mut w: W, frame: &Frame) -> io::Result<()> {
-    w.write_all(&encode_frame(frame))
 }
 
 /// Little-endian u32 at `off` (caller guarantees bounds via `get`).

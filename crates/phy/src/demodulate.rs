@@ -247,12 +247,6 @@ impl Demodulator {
     }
 }
 
-/// Maximum value of a signal vector (peak height), used by sensitivity
-/// analyses.
-pub fn peak_height(signal_vector: &[f32]) -> f32 {
-    signal_vector.iter().copied().fold(0.0, f32::max)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -224,10 +224,8 @@ pub fn reference_transcript(
     let mut per_channel = vec![0u64; if wideband { channelizer.channels } else { 1 }];
     let mut uplinked = 0u64;
     let mut render = |channel: Option<usize>, p: &DecodedPacket| {
-        lines.push(match channel {
-            Some(c) => uplink::uplink_line_on_channel(&cfg.params, stream_id, uplinked, c, p),
-            None => uplink::uplink_line(&cfg.params, stream_id, uplinked, p),
-        });
+        let line = uplink::tagged_uplink_line(&cfg.params, stream_id, uplinked, channel, p);
+        lines.push(line);
         per_channel[channel.unwrap_or(0)] += 1;
         uplinked += 1;
     };
