@@ -113,10 +113,7 @@ impl SchemeKind {
             SchemeKind::TnbSic => Box::new(TnbScheme::new(
                 params,
                 TnbConfig {
-                    sic: tnb_core::SicConfig {
-                        enabled: true,
-                        ..tnb_core::SicConfig::default()
-                    },
+                    sic: tnb_core::SicConfig { enabled: true },
                     ..TnbConfig::default()
                 },
                 "TnB+SIC",

@@ -4,7 +4,7 @@
 //! bin in `δf`; `Q*` keeps only the true one.
 
 use tnb_channel::trace::{PacketConfig, TraceBuilder};
-use tnb_core::sync::{fractional_sync, SyncConfig};
+use tnb_core::sync::fractional_sync;
 use tnb_phy::demodulate::Demodulator;
 use tnb_phy::{CodingRate, LoRaParams, SpreadingFactor};
 
@@ -51,13 +51,7 @@ fn main() {
     }
 
     // And the actual 36-point search result.
-    let r = fractional_sync(
-        trace.samples(),
-        &demod,
-        start as i64,
-        cfo_int,
-        &SyncConfig::default(),
-    );
+    let r = fractional_sync(trace.samples(), &demod, start as i64, cfo_int);
     match r {
         Some(pkt) => println!(
             "\n3-phase search: start {:.1} (true {start}), CFO {:.3} bins (true {cfo_bins:.3})",

@@ -15,10 +15,7 @@ const DELTAS_DB: [f32; 4] = [9.0, 12.0, 15.0, 18.0];
 
 fn sic_on() -> TnbConfig {
     TnbConfig {
-        sic: SicConfig {
-            enabled: true,
-            ..SicConfig::default()
-        },
+        sic: SicConfig { enabled: true },
         ..TnbConfig::default()
     }
 }

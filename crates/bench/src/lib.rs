@@ -1,5 +1,5 @@
 //! Shared utilities for the experiment binaries in `src/bin/` (one binary
-//! per paper table/figure) and the Criterion benches in `benches/`.
+//! per paper table/figure).
 
 pub mod args;
 pub mod table;

@@ -66,6 +66,7 @@ commands:
                [--sf N] [--cr N] [--seed N] [--stream N] [--chunk N]
                [--wideband] [--stats] [--shutdown] [--chaos-seed N]
       stream a trace to a running daemon and print its uplink lines.
+      --sf, --cr and --seed shape the --demo-collision scene only.
       --wideband marks every DATA frame with the WIDEBAND flag so the
       daemon channelizes the stream into 8 uplink channels first.
       --chaos-seed routes the connection through an in-process
@@ -744,22 +745,15 @@ fn gateway_serve(args: &[String]) -> Result<(), String> {
 fn gateway_send(args: &[String]) -> Result<(), String> {
     let flags = Flags(args);
     let addr = flags.require("--addr")?;
-    let (params, samples) = if flags.has("--demo-collision") {
+    let samples = if flags.has("--demo-collision") {
         let sf = SpreadingFactor::from_value(flags.parse_or("--sf", 8usize)?)
             .ok_or("--sf must be 7..=12")?;
         let cr =
             CodingRate::from_value(flags.parse_or("--cr", 4usize)?).ok_or("--cr must be 1..=4")?;
-        let params = LoRaParams::new(sf, cr);
-        (
-            params,
-            demo_collision(params, flags.parse_or("--seed", 7u64)?),
-        )
+        demo_collision(LoRaParams::new(sf, cr), flags.parse_or("--seed", 7u64)?)
     } else {
-        let path = flags.require("--trace")?;
-        let params = parse_params(&flags)?;
-        (params, load_trace(path).map_err(|e| e.to_string())?)
+        load_trace(flags.require("--trace")?).map_err(|e| e.to_string())?
     };
-    let _ = params;
     let stream_id: u32 = flags.parse_or("--stream", 0u32)?;
     let chunk: usize = flags.parse_or("--chunk", tnb_gateway::client::DEFAULT_CHUNK)?;
     if let Some(chaos) = flags.get("--chaos-seed") {

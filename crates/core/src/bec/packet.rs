@@ -378,6 +378,44 @@ mod tests {
     }
 
     #[test]
+    fn candidate_budget_falls_back_to_default_decode() {
+        // Budget 0 lets the first payload block enumerate its repairs and
+        // forces every later block onto the plain Hamming decode.
+        let payload = b"budget the saves".to_vec();
+        let (clean, p) = make(SpreadingFactor::SF8, CodingRate::CR4, &payload);
+        let (h, extras, _) = decode_header_with_bec(&clean, &p).unwrap();
+        let decode = |symbols: &[u16], budget| {
+            decode_payload_with_bec_budgeted(
+                &symbols[LoRaParams::HEADER_SYMBOLS..],
+                &h,
+                &extras,
+                &p,
+                budget,
+            )
+        };
+
+        // Errors only in the first block: the later, clean blocks decode
+        // by default and the packet still passes its CRC.
+        let mut first = clean.clone();
+        corrupt_payload_symbols(&mut first, &[0, 5], &p);
+        let full = decode(&first, None).unwrap();
+        assert!(!full.stats.budget_exhausted);
+        let capped = decode(&first, Some(0)).unwrap();
+        assert_eq!(capped.payload, payload);
+        assert!(capped.stats.budget_exhausted);
+        assert_eq!(capped.stats.repaired_blocks, 1);
+        assert!(capped.stats.candidates_generated < full.stats.candidates_generated);
+
+        // A second broken block is past the budget, so BEC never sees it.
+        let mut both = first.clone();
+        corrupt_payload_symbols(&mut both, &[10, 14], &p);
+        assert_eq!(decode(&both, None).unwrap().payload, payload);
+        let stats = decode(&both, Some(0)).unwrap_err();
+        assert!(stats.budget_exhausted);
+        assert_eq!(stats.repaired_blocks, 1);
+    }
+
+    #[test]
     fn bec_rescues_corrupted_header_symbol() {
         let payload = b"header needs bec".to_vec();
         let (mut symbols, p) = make(SpreadingFactor::SF10, CodingRate::CR2, &payload);

@@ -16,7 +16,7 @@
 
 use crate::packet::{same_transmission, DetectedPacket};
 use crate::parallel::fan_out;
-use crate::sync::{fractional_sync_observed, SyncConfig};
+use crate::sync::fractional_sync_observed;
 
 use tnb_dsp::{find_peaks, Complex32, DspScratch, PeakFinderConfig};
 use tnb_metrics::{PipelineMetrics, Stage, StageCounters};
@@ -29,26 +29,24 @@ pub struct DetectorConfig {
     /// Minimum run of consecutive same-bin windows to accept a preamble.
     /// The 8 upchirps guarantee 7 fully-contained windows.
     pub min_run: usize,
-    /// A peak must exceed this multiple of the window's median bin value.
-    pub peak_median_factor: f32,
-    /// Maximum allowed |CFO| in Hz (paper: "the relaxation is determined
-    /// by the maximum allowable CFO"; its simulations draw CFOs from
-    /// ±4.88 kHz). Converted to bins per spreading factor internally.
-    pub max_cfo_hz: f64,
-    /// Keep at most this many peaks per scan window.
-    pub max_scan_peaks: usize,
 }
 
 impl Default for DetectorConfig {
     fn default() -> Self {
-        DetectorConfig {
-            min_run: 5,
-            peak_median_factor: 10.0,
-            max_cfo_hz: 6000.0,
-            max_scan_peaks: 8,
-        }
+        DetectorConfig { min_run: 5 }
     }
 }
+
+/// A peak must exceed this multiple of the window's median bin value.
+const PEAK_MEDIAN_FACTOR: f32 = 10.0;
+
+/// Maximum allowed |CFO| in Hz (paper: "the relaxation is determined by
+/// the maximum allowable CFO"; its simulations draw CFOs from ±4.88 kHz).
+/// Converted to bins per spreading factor internally.
+const MAX_CFO_HZ: f64 = 6000.0;
+
+/// Keep at most this many peaks per scan window.
+const MAX_SCAN_PEAKS: usize = 8;
 
 /// A preamble candidate from step 1: a run of windows peaking at one bin.
 #[derive(Debug, Clone, Copy)]
@@ -177,7 +175,7 @@ impl Detector {
 
         let finder_cfg = PeakFinderConfig {
             circular: true,
-            max_peaks: Some(self.cfg.max_scan_peaks),
+            max_peaks: Some(MAX_SCAN_PEAKS),
             ..PeakFinderConfig::default()
         };
 
@@ -186,7 +184,7 @@ impl Detector {
                 .signal_vector_scratch(&samples[w * l..(w + 1) * l], 0.0, scratch);
             let y = &scratch.fbuf;
             let median = tnb_dsp::stats::median(y);
-            let thresh = median * self.cfg.peak_median_factor;
+            let thresh = median * PEAK_MEDIAN_FACTOR;
             let peaks: Vec<usize> = find_peaks(y, &finder_cfg)
                 .into_iter()
                 .filter(|p| p.height > thresh)
@@ -269,7 +267,6 @@ impl Detector {
             &self.demod,
             s_coarse,
             cfo_int,
-            &SyncConfig::default(),
             scratch,
             metrics,
             counters,
@@ -302,7 +299,7 @@ impl Detector {
             // preamble's peak sits near bin 0, displaced only by the CFO —
             // search that neighbourhood rather than taking the window
             // maximum, which a stronger colliding packet would hijack.
-            let max_cfo_bins = (self.cfg.max_cfo_hz / self.params.bin_hz()).ceil() as i64 + 1;
+            let max_cfo_bins = (MAX_CFO_HZ / self.params.bin_hz()).ceil() as i64 + 1;
             // Median over five windows: a colliding packet's payload peak
             // can outshine this preamble near bin 0 in any single window,
             // but not in the majority of them.
@@ -349,7 +346,7 @@ impl Detector {
                 };
                 let c2 = center(pa.index as i64, n);
                 let cfo = (c1 + c2) as f64 / 2.0;
-                if cfo.abs() * self.params.bin_hz() > self.cfg.max_cfo_hz {
+                if cfo.abs() * self.params.bin_hz() > MAX_CFO_HZ {
                     continue;
                 }
                 let score = pa.height.min(pb.height);
@@ -417,7 +414,7 @@ impl Detector {
         let y = self.window_vector(samples, start, down, scratch)?;
         let cfg = PeakFinderConfig {
             circular: true,
-            max_peaks: Some(self.cfg.max_scan_peaks),
+            max_peaks: Some(MAX_SCAN_PEAKS),
             ..PeakFinderConfig::default()
         };
         Some(find_peaks(y, &cfg))

@@ -4,7 +4,7 @@
 //! masked).
 
 use crate::bec;
-use crate::detect::{merge_dedup, Detector, DetectorConfig};
+use crate::detect::{merge_dedup, Detector};
 use crate::packet::{same_transmission, DecodedPacket, DetectedPacket};
 use crate::parallel::{self, MAX_PAYLOAD_LEN};
 use crate::sic::{self, SicConfig};
@@ -28,8 +28,6 @@ use tnb_phy::params::LoRaParams;
 /// - "Sibling" (no history cost): `thrive.use_history = false`.
 #[derive(Debug, Clone, Copy)]
 pub struct TnbConfig {
-    /// Detection tunables.
-    pub detector: DetectorConfig,
     /// Thrive tunables.
     pub thrive: ThriveConfig,
     /// Decode blocks with BEC (true) or the default Hamming decoder.
@@ -40,13 +38,6 @@ pub struct TnbConfig {
     /// estimates use the exact peak/noise relation; when `None`, a blind
     /// median-based estimate is used (compresses above ≈ 14 dB).
     pub noise_power: Option<f32>,
-    /// Upper bound on BEC candidate combinations generated per packet.
-    /// Adversarial symbol streams can make companion enumeration explode;
-    /// once the budget is hit the remaining blocks fall back to their
-    /// default decode and the packet is reported `PayloadBudget` if it
-    /// then fails the CRC. The default is far above anything a clean
-    /// trace generates, so normal decodes are unaffected.
-    pub bec_candidate_budget: usize,
     /// SIC rescue pass: reconstruct and subtract decoded packets, then
     /// re-run detection and Thrive/BEC on the residual (off by default).
     pub sic: SicConfig,
@@ -55,16 +46,22 @@ pub struct TnbConfig {
 impl Default for TnbConfig {
     fn default() -> Self {
         TnbConfig {
-            detector: DetectorConfig::default(),
             thrive: ThriveConfig::default(),
             use_bec: true,
             two_pass: true,
             noise_power: Some(1.0),
-            bec_candidate_budget: 100_000,
             sic: SicConfig::default(),
         }
     }
 }
+
+/// Upper bound on BEC candidate combinations generated per packet.
+/// Adversarial symbol streams can make companion enumeration explode;
+/// once the budget is hit the remaining blocks fall back to their default
+/// decode and the packet is reported `PayloadBudget` if it then fails the
+/// CRC. The value is far above anything a clean trace generates, so
+/// normal decodes are unaffected.
+const BEC_CANDIDATE_BUDGET: usize = 100_000;
 
 /// Why a detected packet degraded instead of decoding.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -371,7 +368,7 @@ impl TnbReceiver {
             return (Vec::new(), DecodeReport::default());
         }
         let mut scratch = DspScratch::new();
-        let detector = Detector::with_config(self.params, self.cfg.detector);
+        let detector = Detector::new(self.params);
         let mut counters = StageCounters::default();
         let detected = self.detect(&detector, antennas, &mut scratch, metrics, &mut counters);
         let demod = detector.demodulator();
@@ -707,7 +704,7 @@ impl TnbReceiver {
             comps.push((begin, tracked.len()));
         }
 
-        let detector = Detector::with_config(self.params, self.cfg.detector);
+        let detector = Detector::new(self.params);
         let mut replica: Vec<Complex32> = Vec::new();
         let mut gains: Vec<Vec<(f64, f64)>> = vec![Vec::new(); antennas.len()];
         let noise = f64::from(self.cfg.noise_power.unwrap_or(1.0).max(f32::MIN_POSITIVE));
@@ -734,7 +731,7 @@ impl TnbReceiver {
             if r_hi <= r_lo {
                 continue;
             }
-            for _ in 0..self.cfg.sic.max_rounds {
+            for _ in 0..sic::MAX_ROUNDS {
                 let decoded_members: Vec<usize> = members
                     .iter()
                     .copied()
@@ -784,7 +781,7 @@ impl TnbReceiver {
                         best_power = best_power.max(sic::mean_gain_power(&gains[a]));
                     }
                     let snr_db = 10.0 * (best_power / noise).max(1e-12).log10();
-                    if snr_db < f64::from(self.cfg.sic.min_residual_snr) {
+                    if snr_db < f64::from(sic::MIN_RESIDUAL_SNR_DB) {
                         counters.sic_skipped += 1;
                         continue;
                     }
@@ -1192,7 +1189,7 @@ impl TnbReceiver {
                 &header,
                 &extras,
                 &self.params,
-                Some(self.cfg.bec_candidate_budget),
+                Some(BEC_CANDIDATE_BUDGET),
             ) {
                 Ok(d) => {
                     let stats = d.stats.clone();
@@ -1272,7 +1269,7 @@ mod tests {
     fn whole_set(rx: &TnbReceiver, samples: &[Complex32]) -> (Vec<DecodedPacket>, DecodeReport) {
         let metrics = PipelineMetrics::disabled();
         let mut scratch = DspScratch::new();
-        let detector = Detector::with_config(rx.params, rx.cfg.detector);
+        let detector = Detector::new(rx.params);
         let mut counters = StageCounters::default();
         let antennas = [samples];
         let detected = rx.detect(&detector, &antennas, &mut scratch, &metrics, &mut counters);

@@ -37,31 +37,23 @@ use tnb_phy::demodulate::Demodulator;
 use tnb_phy::params::LoRaParams;
 
 /// Configuration of the SIC rescue pass.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct SicConfig {
     /// Run the rescue pass after the regular two-pass decode.
     pub enabled: bool,
-    /// Upper bound on rescue rounds per overlap component: each round
-    /// subtracts every decoded packet and re-decodes the residual;
-    /// another round only runs when the previous one decoded something
-    /// new (which exposes the next-weaker packet).
-    pub max_rounds: usize,
-    /// Minimum estimated SNR (dB, against the configured noise power) of
-    /// a reconstructed packet for its subtraction to proceed. A replica
-    /// whose estimated gain power is below this floor is mostly fitting
-    /// noise, and subtracting it would *add* interference.
-    pub min_residual_snr: f32,
 }
 
-impl Default for SicConfig {
-    fn default() -> Self {
-        SicConfig {
-            enabled: false,
-            max_rounds: 2,
-            min_residual_snr: -15.0,
-        }
-    }
-}
+/// Upper bound on rescue rounds per overlap component: each round
+/// subtracts every decoded packet and re-decodes the residual; another
+/// round only runs when the previous one decoded something new (which
+/// exposes the next-weaker packet).
+pub(crate) const MAX_ROUNDS: usize = 2;
+
+/// Minimum estimated SNR (dB, against the configured noise power) of a
+/// reconstructed packet for its subtraction to proceed. A replica whose
+/// estimated gain power is below this floor is mostly fitting noise, and
+/// subtracting it would *add* interference.
+pub(crate) const MIN_RESIDUAL_SNR_DB: f32 = -15.0;
 
 /// Rebuilds the baseband waveform of a decoded packet into `out`
 /// (cleared first): the standard 12.25-symbol preamble followed by the

@@ -164,7 +164,6 @@ impl<'a> SigCalc<'a> {
     pub fn preamble_heights(&mut self, pkt_id: usize, pkt: &DetectedPacket) -> Vec<f32> {
         let n = self.params().n() as isize;
         let pre = LoRaParams::PREAMBLE_UPCHIRPS as isize;
-        let total = self.params().preamble_symbols(); // 12.25
         let mut out = Vec::with_capacity(pre as usize);
         for j in 0..pre {
             // Preamble upchirp j sits at data-symbol index j − 12.25; we
@@ -173,7 +172,6 @@ impl<'a> SigCalc<'a> {
             // offset j − 12 symbols, which covers upchirp j's tail plus
             // upchirp j+1's head: for identical upchirps this is still a
             // clean full-height peak at bin 0 except for the last one.
-            let _ = total;
             let jj = j - 12;
             if let Some(v) = self.symbol_vector(pkt_id, pkt, jj) {
                 // The preamble peak is at bin 0 (own alignment); read

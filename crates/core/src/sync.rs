@@ -23,23 +23,8 @@ use tnb_metrics::{PipelineMetrics, Stage, StageCounters};
 use tnb_phy::demodulate::Demodulator;
 use tnb_phy::params::LoRaParams;
 
-/// Tunables for the fractional search.
-#[derive(Debug, Clone, Copy)]
-pub struct SyncConfig {
-    /// Phase-1 grid points along the CFO axis (paper: 17 → 1/16-bin steps).
-    pub cfo_grid: usize,
-    /// Reject a preamble whose best `Q*` is zero (no consistent peak).
-    pub require_qstar: bool,
-}
-
-impl Default for SyncConfig {
-    fn default() -> Self {
-        SyncConfig {
-            cfo_grid: 17,
-            require_qstar: true,
-        }
-    }
-}
+/// Phase-1 grid points along the CFO axis (paper: 17 → 1/16-bin steps).
+const CFO_GRID: usize = 17;
 
 /// Evaluation of `Q`/`Q*` at one `(δt, δf)` point.
 struct QValue {
@@ -59,30 +44,26 @@ pub fn fractional_sync(
     demod: &Demodulator,
     start: i64,
     cfo_int: f64,
-    cfg: &SyncConfig,
 ) -> Option<DetectedPacket> {
     let mut scratch = DspScratch::new();
-    fractional_sync_scratch(samples, demod, start, cfo_int, cfg, &mut scratch)
+    fractional_sync_scratch(samples, demod, start, cfo_int, &mut scratch)
 }
 
 /// [`fractional_sync_scratch`] with observability: counts the attempt and
 /// its acceptance in `counters` and times the whole 36-point search under
 /// [`Stage::Sync`].
-// Observed variant threads scratch + two observability sinks on top of the five search inputs.
-#[allow(clippy::too_many_arguments)]
 pub fn fractional_sync_observed(
     samples: &[Complex32],
     demod: &Demodulator,
     start: i64,
     cfo_int: f64,
-    cfg: &SyncConfig,
     scratch: &mut DspScratch,
     metrics: &PipelineMetrics,
     counters: &mut StageCounters,
 ) -> Option<DetectedPacket> {
     counters.sync_attempts += 1;
     let t0 = metrics.now();
-    let out = fractional_sync_scratch(samples, demod, start, cfo_int, cfg, scratch);
+    let out = fractional_sync_scratch(samples, demod, start, cfo_int, scratch);
     metrics.record_span(Stage::Sync, t0);
     if out.is_some() {
         counters.sync_accepted += 1;
@@ -99,7 +80,6 @@ pub fn fractional_sync_scratch(
     demod: &Demodulator,
     start: i64,
     cfo_int: f64,
-    cfg: &SyncConfig,
     scratch: &mut DspScratch,
 ) -> Option<DetectedPacket> {
     let params = *demod.params();
@@ -110,7 +90,7 @@ pub fn fractional_sync_scratch(
     };
 
     // Phase 1: δt = 0, δf from −1 to 0.
-    let steps = cfg.cfo_grid.max(2) - 1;
+    let steps = CFO_GRID - 1;
     let mut best_df = 0.0;
     let mut best_q = f32::NEG_INFINITY;
     for i in 0..=steps {
@@ -138,11 +118,8 @@ pub fn fractional_sync_scratch(
             }
         }
     }
-    let (_, dt2, df2) = match p2 {
-        Some(v) => v,
-        None if cfg.require_qstar => return None,
-        None => (0.0, 0.0, best_df),
-    };
+    // No `Q*` anywhere means no consistent peak: reject the preamble.
+    let (_, dt2, df2) = p2?;
 
     // Phase 3: refine δt at 1/U-chip (1-sample) resolution.
     let mut p3: Option<(f32, f64)> = None;

@@ -28,36 +28,37 @@ use tnb_phy::params::LoRaParams;
 pub struct ThriveConfig {
     /// Weight of the history cost (paper: ω = 0.1).
     pub omega: f32,
-    /// Deviation multiplier for the upper/lower estimates (paper: 4).
-    pub deviation_mult: f32,
     /// Smoothing window of the history curve fit.
     pub history_window: usize,
-    /// Bins around a masked/assigned location considered covered.
-    pub mask_tolerance: i64,
     /// Disable the history cost (the paper's "Sibling" ablation).
     pub use_history: bool,
-    /// Budget on sibling-cost evaluations per checking point (candidates
-    /// × other slots). A hostile trace can pile dozens of phantom
-    /// detections onto one checkpoint, making the cost matrix quadratic
-    /// in trash; over budget, each slot's candidate list is trimmed to
-    /// its tallest peaks and the event is tallied as `budget_exhausted`.
-    /// The default is far above anything real collisions produce, so
-    /// clean traces are bit-identical with or without the cap.
-    pub checkpoint_eval_budget: u64,
 }
 
 impl Default for ThriveConfig {
     fn default() -> Self {
         ThriveConfig {
             omega: 0.1,
-            deviation_mult: 4.0,
             history_window: 7,
-            mask_tolerance: 1,
             use_history: true,
-            checkpoint_eval_budget: 1_000_000,
         }
     }
 }
+
+/// Deviation multiplier of the history band `[A − 4D, A + 4D]` (paper
+/// §5.2: 4).
+const DEVIATION_MULT: f32 = 4.0;
+
+/// Bins around a masked/assigned location considered covered.
+const MASK_TOLERANCE: i64 = 1;
+
+/// Budget on sibling-cost evaluations per checking point (candidates ×
+/// other slots). A hostile trace can pile dozens of phantom detections
+/// onto one checkpoint, making the cost matrix quadratic in trash; over
+/// budget, each slot's candidate list is trimmed to its tallest peaks and
+/// the event is tallied as `budget_exhausted`. The value is far above
+/// anything real collisions produce, so clean traces are bit-identical
+/// with or without the cap.
+const CHECKPOINT_EVAL_BUDGET: u64 = 1_000_000;
 
 /// Peak-height history of one packet, bootstrapped by the preamble peaks.
 #[derive(Debug, Clone, Default)]
@@ -103,8 +104,8 @@ impl HistoryModel {
         let fit = fit_history(&self.heights, cfg.history_window);
         let a = fit.last();
         let d = fit.deviation;
-        let up = a + cfg.deviation_mult * d;
-        let lo = (a - cfg.deviation_mult * d).max(0.0);
+        let up = a + DEVIATION_MULT * d;
+        let lo = (a - DEVIATION_MULT * d).max(0.0);
         (up, lo)
     }
 
@@ -118,10 +119,7 @@ impl HistoryModel {
         let fit = fit_history(&self.heights, cfg.history_window);
         let a = fit.value_at(at);
         let d = fit.deviation;
-        (
-            (a + cfg.deviation_mult * d),
-            (a - cfg.deviation_mult * d).max(0.0),
-        )
+        ((a + DEVIATION_MULT * d), (a - DEVIATION_MULT * d).max(0.0))
     }
 }
 
@@ -266,6 +264,28 @@ pub fn assign_checkpoint_scratch(
     ws: &mut CheckpointScratch,
     out: &mut Vec<Assignment>,
 ) {
+    assign_within_budget(
+        sigcalc,
+        packets,
+        symbols,
+        cfg,
+        CHECKPOINT_EVAL_BUDGET,
+        ws,
+        out,
+    );
+}
+
+/// [`assign_checkpoint_scratch`] under a sibling-cost evaluation budget
+/// of `eval_budget` (see [`CHECKPOINT_EVAL_BUDGET`]).
+fn assign_within_budget(
+    sigcalc: &mut SigCalc<'_>,
+    packets: &[DetectedPacket],
+    symbols: &[CheckpointSymbol],
+    cfg: &ThriveConfig,
+    eval_budget: u64,
+    ws: &mut CheckpointScratch,
+    out: &mut Vec<Assignment>,
+) {
     out.clear();
     let params = *sigcalc.params();
     let n = params.n() as i64;
@@ -314,7 +334,7 @@ pub fn assign_checkpoint_scratch(
                 .filter(|p| {
                     !s.masked_bins
                         .iter()
-                        .any(|&mb| bin_close(p.index as i64, mb, n, cfg.mask_tolerance))
+                        .any(|&mb| bin_close(p.index as i64, mb, n, MASK_TOLERANCE))
                 })
                 .map(|p| Candidate {
                     bin: p.index as i64,
@@ -333,9 +353,9 @@ pub fn assign_checkpoint_scratch(
     // still favours plausible candidates.
     let total_cands: u64 = ws.cands.iter().take(m).map(|c| c.len() as u64).sum();
     let evals = total_cands * (m as u64).saturating_sub(1).max(1);
-    if evals > cfg.checkpoint_eval_budget {
+    if evals > eval_budget {
         ws.tally.budget_exhausted += 1;
-        let keep = (cfg.checkpoint_eval_budget / (m as u64 * m as u64).max(1)).max(1) as usize;
+        let keep = (eval_budget / (m as u64 * m as u64).max(1)).max(1) as usize;
         for cands in ws.cands.iter_mut().take(m) {
             if cands.len() > keep {
                 cands.sort_by(|a, b| b.height.total_cmp(&a.height).then(a.bin.cmp(&b.bin)));
@@ -438,7 +458,7 @@ pub fn assign_checkpoint_scratch(
                     &ws.vectors[chosen_slot],
                     &symbols[chosen_slot].masked_bins,
                     &ws.dynamic[chosen_slot],
-                    cfg.mask_tolerance,
+                    MASK_TOLERANCE,
                 )
             }
         };
@@ -460,7 +480,7 @@ pub fn assign_checkpoint_scratch(
             let sib = (bin + shift.round() as i64).rem_euclid(n);
             ws.dynamic[slot].push(sib);
             for c in ws.cands[slot].iter_mut() {
-                if c.alive && bin_close(c.bin, sib, n, cfg.mask_tolerance) {
+                if c.alive && bin_close(c.bin, sib, n, MASK_TOLERANCE) {
                     c.alive = false;
                 }
             }
@@ -595,6 +615,73 @@ mod tests {
         assert!(bin_close(0, 255, 256, 1));
         assert!(bin_close(255, 0, 256, 1));
         assert!(!bin_close(5, 250, 256, 2));
+    }
+
+    #[test]
+    fn eval_budget_trims_each_slot_to_its_tallest_peaks() {
+        use tnb_channel::trace::{PacketConfig, TraceBuilder};
+        use tnb_dsp::DspScratch;
+        use tnb_phy::demodulate::Demodulator;
+
+        // Two collided packets: one checkpoint with two slots.
+        let p = LoRaParams::new(SpreadingFactor::SF8, CodingRate::CR4);
+        let offset = 15 * p.samples_per_symbol() + 640;
+        let mut b = TraceBuilder::new(p, 4);
+        for (start, snr_db, cfo_hz) in [(4_000, 12.0, 1000.0), (4_000 + offset, 9.0, -2600.0)] {
+            b.add_packet(
+                b"thrive eval cap!",
+                PacketConfig {
+                    start_sample: start,
+                    snr_db,
+                    cfo_hz,
+                    ..Default::default()
+                },
+            );
+        }
+        let trace = b.build();
+        let packets =
+            [(4_000, 1000.0), (4_000 + offset, -2600.0)].map(|(start, cfo_hz)| DetectedPacket {
+                start: start as f64,
+                cfo_cycles: cfo_hz / p.bin_hz(),
+                preamble_peak: 1.0,
+            });
+        let symbols = [(0, 20), (1, 4)].map(|(packet, symbol)| CheckpointSymbol {
+            packet,
+            symbol,
+            masked_bins: vec![],
+            bounds: (f32::MAX, 0.0),
+        });
+        let demod = Demodulator::new(p);
+        let ants = [trace.samples()];
+        let mut scratch = DspScratch::new();
+        let mut sig = SigCalc::new(&demod, &ants, &mut scratch);
+        let run = |sig: &mut SigCalc<'_>, budget: u64| {
+            let mut ws = CheckpointScratch::default();
+            let mut out = Vec::new();
+            assign_within_budget(sig, &packets, &symbols, &cfg(), budget, &mut ws, &mut out);
+            (ws, out)
+        };
+
+        let tallest = |ws: &CheckpointScratch, slot: usize| {
+            ws.cands[slot]
+                .iter()
+                .map(|c| c.height)
+                .fold(0.0f32, f32::max)
+        };
+        let (full, out) = run(&mut sig, CHECKPOINT_EVAL_BUDGET);
+        assert_eq!(full.tally().budget_exhausted, 0);
+        assert_eq!(out.len(), 2);
+        assert!(full.cands.iter().take(2).any(|c| c.len() > 1));
+
+        // Budget 1 keeps max(1 / m², 1) = 1 candidate per slot, the
+        // tallest, and every slot is still assigned.
+        let (capped, out) = run(&mut sig, 1);
+        assert_eq!(capped.tally().budget_exhausted, 1);
+        assert_eq!(out.len(), 2);
+        for slot in 0..2 {
+            assert_eq!(capped.cands[slot].len(), 1);
+            assert_eq!(capped.cands[slot][0].height, tallest(&full, slot));
+        }
     }
 
     #[test]

@@ -284,22 +284,8 @@ fn min_run_config_trades_sensitivity() {
         },
     );
     let t = b.build();
-    let loose = Detector::with_config(
-        p,
-        DetectorConfig {
-            min_run: 3,
-            ..Default::default()
-        },
-    )
-    .detect(t.samples());
-    let strict = Detector::with_config(
-        p,
-        DetectorConfig {
-            min_run: 7,
-            ..Default::default()
-        },
-    )
-    .detect(t.samples());
+    let loose = Detector::with_config(p, DetectorConfig { min_run: 3 }).detect(t.samples());
+    let strict = Detector::with_config(p, DetectorConfig { min_run: 7 }).detect(t.samples());
     assert!(strict.len() <= loose.len());
     assert_eq!(loose.len(), 1, "loose detector should find the packet");
 }

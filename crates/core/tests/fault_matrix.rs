@@ -48,10 +48,7 @@ fn collision_trace() -> Vec<Complex32> {
 
 fn sic_cfg() -> TnbConfig {
     TnbConfig {
-        sic: SicConfig {
-            enabled: true,
-            ..SicConfig::default()
-        },
+        sic: SicConfig { enabled: true },
         ..TnbConfig::default()
     }
 }

@@ -15,10 +15,7 @@ fn params() -> LoRaParams {
 
 fn sic_on() -> TnbConfig {
     TnbConfig {
-        sic: SicConfig {
-            enabled: true,
-            ..SicConfig::default()
-        },
+        sic: SicConfig { enabled: true },
         ..TnbConfig::default()
     }
 }

@@ -155,10 +155,7 @@ fn reused_receiver_counts_rescues_once_per_stream() {
     let l = p.samples_per_symbol();
     let cfg = tnb_core::StreamingConfig {
         receiver: tnb_core::TnbConfig {
-            sic: tnb_core::SicConfig {
-                enabled: true,
-                ..tnb_core::SicConfig::default()
-            },
+            sic: tnb_core::SicConfig { enabled: true },
             ..tnb_core::TnbConfig::default()
         },
         workers: 2,
@@ -231,10 +228,7 @@ fn sic_rescue_at_end_of_trace_with_small_chunks_emits_exactly_once() {
     let l = p.samples_per_symbol();
     let cfg = tnb_core::StreamingConfig {
         receiver: tnb_core::TnbConfig {
-            sic: tnb_core::SicConfig {
-                enabled: true,
-                ..tnb_core::SicConfig::default()
-            },
+            sic: tnb_core::SicConfig { enabled: true },
             ..tnb_core::TnbConfig::default()
         },
         workers: 2,

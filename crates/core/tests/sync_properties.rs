@@ -4,7 +4,7 @@
 
 use proptest::prelude::*;
 use tnb_channel::trace::{PacketConfig, TraceBuilder};
-use tnb_core::sync::{fractional_sync, SyncConfig};
+use tnb_core::sync::fractional_sync;
 use tnb_phy::demodulate::Demodulator;
 use tnb_phy::{CodingRate, LoRaParams, SpreadingFactor};
 
@@ -39,7 +39,6 @@ proptest! {
             &demod,
             true_start as i64 + start_err,
             cfo_bins.round(),
-            &SyncConfig::default(),
         );
         let r = r.expect("sync must lock at 10 dB");
         let true_pos = true_start as f64 + frac as f64;
@@ -66,7 +65,7 @@ fn sync_rejects_noise() {
     let demod = Demodulator::new(p);
     let mut locks = 0;
     for s in (0..10).map(|k| 1_000 + k * 5_000) {
-        if fractional_sync(trace.samples(), &demod, s, 0.0, &SyncConfig::default()).is_some() {
+        if fractional_sync(trace.samples(), &demod, s, 0.0).is_some() {
             locks += 1;
         }
     }

@@ -75,14 +75,8 @@ pub struct DeployConfig {
     pub duty_cycle: f64,
     /// Side of the square deployment area, metres.
     pub side_m: f64,
-    /// Log-distance path-loss exponent.
-    pub path_loss_exp: f64,
     /// Log-normal shadowing standard deviation, dB.
     pub shadow_sigma_db: f64,
-    /// Link SNR at 1 m (transmit power minus noise floor, dB).
-    pub ref_snr_db: f64,
-    /// Per-node CFO drawn uniformly from `±cfo_max_hz`.
-    pub cfo_max_hz: f64,
     /// Run the SIC rescue pass in every receiver.
     pub sic: bool,
     /// Wideband mode: gateways capture one `channels`-wide stream and
@@ -113,10 +107,7 @@ impl Default for DeployConfig {
             traffic: TrafficModel::Poisson,
             duty_cycle: 0.01,
             side_m: 2_000.0,
-            path_loss_exp: 3.5,
             shadow_sigma_db: 6.0,
-            ref_snr_db: 120.0,
-            cfo_max_hz: 4_880.0,
             sic: false,
             wideband: false,
             channels: 8,

@@ -187,10 +187,7 @@ fn decode_task(scene: &Scene, t: Task, total: u64, shard_len: u64, n_shards: u64
     let streaming = StreamingConfig {
         receiver: TnbConfig {
             noise_power: Some(1.0),
-            sic: SicConfig {
-                enabled: cfg.sic,
-                ..SicConfig::default()
-            },
+            sic: SicConfig { enabled: cfg.sic },
             ..TnbConfig::default()
         },
         max_payload: PAYLOAD_LEN,
@@ -210,7 +207,6 @@ fn decode_task(scene: &Scene, t: Task, total: u64, shard_len: u64, n_shards: u64
     let wideband = WidebandConfig {
         channelizer: ChannelizerConfig {
             channels: cfg.channels.max(1),
-            ..ChannelizerConfig::default()
         },
         streaming,
     };

@@ -18,6 +18,16 @@ pub const SPEED_OF_LIGHT_M_S: f64 = 299_792_458.0;
 /// the ceiling models front-end saturation.
 pub const SNR_CLAMP_DB: (f64, f64) = (-10.0, 30.0);
 
+/// Log-distance path-loss exponent.
+pub const PATH_LOSS_EXP: f64 = 3.5;
+
+/// Link SNR at 1 m (transmit power minus noise floor, dB).
+pub const REF_SNR_DB: f64 = 120.0;
+
+/// Per-node CFO is drawn uniformly from `±CFO_MAX_HZ` (the paper's
+/// ±4.88 kHz).
+pub const CFO_MAX_HZ: f64 = 4_880.0;
+
 // Domain-separation tags so independent draws never reuse a hash.
 const TAG_X: u64 = 0x0070_6f73_5f78; // "pos_x"
 const TAG_Y: u64 = 0x0070_6f73_5f79; // "pos_y"
@@ -93,11 +103,11 @@ pub fn link_distance_m(cfg: &DeployConfig, node: u32, gw: u32) -> f64 {
 /// capture) for free.
 pub fn link_snr_db(cfg: &DeployConfig, node: u32, gw: u32) -> f32 {
     let d = link_distance_m(cfg, node, gw);
-    let path_loss = 10.0 * cfg.path_loss_exp * d.log10();
+    let path_loss = 10.0 * PATH_LOSS_EXP * d.log10();
     let h1 = hash_words(cfg.seed, &[TAG_SHADOW, node as u64, gw as u64, 0]);
     let h2 = hash_words(cfg.seed, &[TAG_SHADOW, node as u64, gw as u64, 1]);
     let shadow = gaussian(h1, h2) * cfg.shadow_sigma_db;
-    (cfg.ref_snr_db - path_loss + shadow).clamp(SNR_CLAMP_DB.0, SNR_CLAMP_DB.1) as f32
+    (REF_SNR_DB - path_loss + shadow).clamp(SNR_CLAMP_DB.0, SNR_CLAMP_DB.1) as f32
 }
 
 /// Best link SNR over all gateways (what ADR would see).
@@ -122,10 +132,10 @@ pub fn node_sf_index(cfg: &DeployConfig, node: u32) -> usize {
     ((depth / (span / n as f32)) as usize).min(n - 1)
 }
 
-/// Per-node crystal CFO, uniform in `±cfo_max_hz`.
+/// Per-node crystal CFO, uniform in `±`[`CFO_MAX_HZ`].
 pub fn node_cfo_hz(cfg: &DeployConfig, node: u32) -> f64 {
     let u = unit_f64(hash_words(cfg.seed, &[TAG_CFO, node as u64]));
-    (2.0 * u - 1.0) * cfg.cfo_max_hz
+    (2.0 * u - 1.0) * CFO_MAX_HZ
 }
 
 /// Uplink channel of a node in wideband mode (`0..channels`, by hash).
@@ -213,7 +223,7 @@ mod tests {
         let cfg = DeployConfig::default();
         let mut chans = std::collections::HashSet::new();
         for n in 0..4_000 {
-            assert!(node_cfo_hz(&cfg, n).abs() <= cfg.cfo_max_hz);
+            assert!(node_cfo_hz(&cfg, n).abs() <= CFO_MAX_HZ);
             chans.insert(node_channel(&cfg, n));
         }
         assert_eq!(chans.len(), cfg.channels);

@@ -119,8 +119,7 @@ impl Scene {
         for i in 0..n {
             out.push(noise_sample(self.cfg.seed, gw as u64, a + i as u64));
         }
-        for (tx, start, w) in self.render_overlapping(gw, a, b, false) {
-            let _ = tx;
+        for (start, w) in self.render_overlapping(gw, a, b, false) {
             add_slice(&mut out, a, start, &w);
         }
         out
@@ -143,8 +142,7 @@ impl Scene {
                 wa + i as u64,
             ));
         }
-        for (tx, start, w) in self.render_overlapping(gw, wa, wb, true) {
-            let _ = tx;
+        for (start, w) in self.render_overlapping(gw, wa, wb, true) {
             add_slice(&mut out, wa, start, &w);
         }
         out
@@ -169,14 +167,14 @@ impl Scene {
     }
 
     /// Renders every transmission overlapping `[a, b)` (wideband-rate
-    /// bounds when `wideband`): `(tx, absolute start, waveform)`.
+    /// bounds when `wideband`): `(absolute start, waveform)`.
     fn render_overlapping(
         &self,
         gw: u32,
         a: u64,
         b: u64,
         wideband: bool,
-    ) -> Vec<(Tx, u64, Vec<Complex32>)> {
+    ) -> Vec<(u64, Vec<Complex32>)> {
         let m = if wideband {
             self.cfg.channels.max(1) as u64
         } else {
@@ -199,7 +197,7 @@ impl Scene {
             if start >= b || start + len + m <= a {
                 continue;
             }
-            out.push((*tx, start, self.render_tx(tx, gw, frac, wideband)));
+            out.push((start, self.render_tx(tx, gw, frac, wideband)));
         }
         out
     }

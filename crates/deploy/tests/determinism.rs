@@ -140,17 +140,11 @@ fn wideband_reference_lines(sc: &Scene, gw: u32) -> Vec<String> {
     let mut rx = WidebandReceiver::with_config(
         params,
         WidebandConfig {
-            channelizer: ChannelizerConfig {
-                channels: m,
-                ..ChannelizerConfig::default()
-            },
+            channelizer: ChannelizerConfig { channels: m },
             streaming: StreamingConfig {
                 receiver: TnbConfig {
                     noise_power: Some(1.0),
-                    sic: SicConfig {
-                        enabled: true,
-                        ..SicConfig::default()
-                    },
+                    sic: SicConfig { enabled: true },
                     ..TnbConfig::default()
                 },
                 max_payload: PAYLOAD_LEN,

@@ -37,25 +37,23 @@ pub struct ChannelizerConfig {
     /// Number of channels `M` (and the decimation factor). Clamped to at
     /// least 1. The LoRa uplink default is 8.
     pub channels: usize,
-    /// Prototype FIR taps per polyphase branch; total length is
-    /// `channels · taps_per_phase`. Clamped to at least 1.
-    pub taps_per_phase: usize,
 }
 
 impl Default for ChannelizerConfig {
     fn default() -> Self {
-        ChannelizerConfig {
-            channels: 8,
-            taps_per_phase: 8,
-        }
+        ChannelizerConfig { channels: 8 }
     }
 }
+
+/// Prototype FIR taps per polyphase branch; the total length is
+/// `channels · TAPS_PER_PHASE`.
+const TAPS_PER_PHASE: usize = 8;
 
 /// Streaming polyphase analysis filterbank. See the module docs.
 #[derive(Debug, Clone)]
 pub struct Channelizer {
     m: usize,
-    /// Hamming-windowed sinc prototype, length `m · taps_per_phase`.
+    /// Hamming-windowed sinc prototype, length `m · TAPS_PER_PHASE`.
     proto: Vec<f32>,
     /// DFT matrix `dft[k·m + p] = e^{+j2πkp/m}`, generated in `f64`.
     dft: Vec<Complex32>,
@@ -72,8 +70,7 @@ impl Channelizer {
     /// Builds a channelizer for `cfg`.
     pub fn new(cfg: ChannelizerConfig) -> Self {
         let m = cfg.channels.max(1);
-        let taps = cfg.taps_per_phase.max(1);
-        let len = m * taps;
+        let len = m * TAPS_PER_PHASE;
         // Windowed-sinc prototype, cutoff at half the channel spacing
         // (±fs/2M): sinc((i − center)/M) · hamming(i), unity DC gain.
         // The LoRa signal occupies only the middle of each channel

@@ -209,15 +209,8 @@ pub struct ResilientConfig {
     pub max_reconnects: u32,
     /// Backoff base: attempt `n` sleeps `base * 2^n` (plus jitter).
     pub base_delay: Duration,
-    /// Backoff ceiling.
-    pub max_delay: Duration,
     /// Jitter seed (LCG); same seed → same delay schedule.
     pub seed: u64,
-    /// Resend-buffer bound, in frames. Older unacked frames beyond it
-    /// are evicted (counted in [`ResilientStats::resend_evicted`]) —
-    /// past that point a resume can no longer guarantee a gap-free
-    /// stream.
-    pub resend_frames: usize,
     /// How long to wait for the daemon's `hello` / `resumed` / `pong`
     /// reply lines.
     pub reply_timeout: Duration,
@@ -229,13 +222,19 @@ impl Default for ResilientConfig {
             connect_timeout: Duration::from_secs(2),
             max_reconnects: 5,
             base_delay: Duration::from_millis(20),
-            max_delay: Duration::from_millis(500),
             seed: 0,
-            resend_frames: 1024,
             reply_timeout: Duration::from_secs(5),
         }
     }
 }
+
+/// Backoff ceiling of the [`ResilientClient`] reconnect schedule.
+const MAX_DELAY: Duration = Duration::from_millis(500);
+
+/// Resend-buffer bound, in frames. Older unacked frames beyond it are
+/// evicted (counted in [`ResilientStats::resend_evicted`]) — past that
+/// point a resume can no longer guarantee a gap-free stream.
+const RESEND_FRAMES: usize = 1024;
 
 /// Client-side resilience counters (the daemon-side mirror lives in
 /// [`crate::stats::GatewayStats`]).
@@ -554,7 +553,7 @@ impl ResilientClient {
             seq,
             bytes,
         });
-        while self.buffer.len() > self.cfg.resend_frames.max(1) {
+        while self.buffer.len() > RESEND_FRAMES {
             self.buffer.pop_front();
             self.stats.resend_evicted += 1;
         }
@@ -585,16 +584,14 @@ impl ResilientClient {
     }
 
     /// Seeded-jitter exponential backoff: `base * 2^attempt` capped at
-    /// `max_delay`, plus an LCG-jittered fraction of `base`.
+    /// [`MAX_DELAY`], plus an LCG-jittered fraction of `base`.
     fn backoff_delay(&mut self, attempt: u32) -> Duration {
         self.rng = self
             .rng
             .wrapping_mul(6364136223846793005)
             .wrapping_add(1442695040888963407);
         let base = self.cfg.base_delay.max(Duration::from_millis(1));
-        let exp = base
-            .saturating_mul(1u32 << attempt.min(16))
-            .min(self.cfg.max_delay);
+        let exp = base.saturating_mul(1u32 << attempt.min(16)).min(MAX_DELAY);
         let jitter_ms = (self.rng >> 33) % (base.as_millis().max(1) as u64);
         exp + Duration::from_millis(jitter_ms)
     }
@@ -760,9 +757,7 @@ mod tests {
                         .wrapping_mul(6364136223846793005)
                         .wrapping_add(1442695040888963407);
                     let base = cfg.base_delay.max(Duration::from_millis(1));
-                    let exp = base
-                        .saturating_mul(1u32 << attempt.min(16))
-                        .min(cfg.max_delay);
+                    let exp = base.saturating_mul(1u32 << attempt.min(16)).min(MAX_DELAY);
                     exp + Duration::from_millis((rng >> 33) % (base.as_millis().max(1) as u64))
                 })
                 .collect()
@@ -772,7 +767,7 @@ mod tests {
         // The exponential envelope grows and respects the cap.
         let d = delays(7);
         let base = ResilientConfig::default().base_delay;
-        let cap = ResilientConfig::default().max_delay + base;
+        let cap = MAX_DELAY + base;
         assert!(d.iter().all(|&x| x <= cap), "{d:?}");
         assert!(d[4] >= Duration::from_millis(320 - 20), "{d:?}");
     }

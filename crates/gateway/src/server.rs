@@ -40,7 +40,7 @@
 //! - **Session resume**: a connection that sent HELLO owns a session
 //!   token. On an *unexpected* disconnect (EOF, wire error, idle or
 //!   write deadline) its per-stream receiver state is parked for
-//!   `resume_grace`; a reconnecting client sends RESUME(token) and
+//!   `RESUME_GRACE`; a reconnecting client sends RESUME(token) and
 //!   continues decoding mid-packet with nothing lost. A clean GOAWAY
 //!   (or daemon SHUTDOWN) flushes and reports instead of parking.
 //! - **Admission control** (`max_conns`): connections beyond the cap
@@ -69,6 +69,10 @@ use tnb_phy::LoRaParams;
 /// How often blocked socket reads wake up to check the shutdown flag.
 const POLL_INTERVAL: Duration = Duration::from_millis(25);
 
+/// How long a HELLO'd connection's stream state survives an unexpected
+/// disconnect waiting for a RESUME.
+const RESUME_GRACE: Duration = Duration::from_secs(30);
+
 /// Daemon configuration.
 #[derive(Debug, Clone, Copy)]
 pub struct GatewayConfig {
@@ -95,9 +99,6 @@ pub struct GatewayConfig {
     /// Admission cap: connections beyond this many concurrent peers are
     /// answered with a `busy` line and closed (0 = unlimited).
     pub max_conns: usize,
-    /// How long a HELLO'd connection's stream state survives an
-    /// unexpected disconnect waiting for a RESUME.
-    pub resume_grace: Duration,
     /// Ack cadence on HELLO'd connections: write an `ack` line after
     /// every this-many consumed chunks per stream (0 = ack only at end
     /// of stream). Plain connections are never acked.
@@ -111,7 +112,7 @@ pub struct GatewayConfig {
 impl GatewayConfig {
     /// Defaults: single worker, no observation, 256-chunk ingest bound,
     /// 8-channel wideband filterbank, no idle/write deadlines, no
-    /// admission cap, 30 s resume grace, ack every 16 chunks.
+    /// admission cap, ack every 16 chunks.
     pub fn new(params: LoRaParams) -> Self {
         GatewayConfig {
             params,
@@ -121,7 +122,6 @@ impl GatewayConfig {
             idle_timeout: None,
             write_timeout: None,
             max_conns: 0,
-            resume_grace: Duration::from_secs(30),
             ack_every: 16,
             quota_chunks: 0,
         }
@@ -949,7 +949,7 @@ fn decode_loop(
                     }
                 };
                 up.link(
-                    &uplink::hello_line(token, cfg.resume_grace.as_millis() as u64),
+                    &uplink::hello_line(token, RESUME_GRACE.as_millis() as u64),
                     stats,
                 );
             }
@@ -1044,7 +1044,7 @@ fn teardown(
         if let Some(token) = state.token {
             stats.sessions_parked.inc();
             // tnb-lint: allow(TNB-DET01) -- control-plane resume-grace deadline, never on the decode path
-            let deadline = Instant::now() + cfg.resume_grace;
+            let deadline = Instant::now() + RESUME_GRACE;
             table.park(
                 token,
                 Parked {

