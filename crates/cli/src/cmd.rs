@@ -756,77 +756,33 @@ fn gateway_send(args: &[String]) -> Result<(), String> {
     };
     let stream_id: u32 = flags.parse_or("--stream", 0u32)?;
     let chunk: usize = flags.parse_or("--chunk", tnb_gateway::client::DEFAULT_CHUNK)?;
-    if let Some(chaos) = flags.get("--chaos-seed") {
-        let chaos_seed: u64 = chaos
-            .parse()
-            .map_err(|_| format!("bad value for --chaos-seed: {chaos}"))?;
-        return gateway_send_chaos(&flags, addr, chaos_seed, stream_id, &samples, chunk);
-    }
+    let chaos_seed: Option<u64> = flags
+        .get("--chaos-seed")
+        .map(|v| {
+            v.parse()
+                .map_err(|_| format!("bad value for --chaos-seed: {v}"))
+        })
+        .transpose()?;
+    // With --chaos-seed the connection goes through an in-process
+    // NetFaultPlan proxy (the seed picks one injector from the matrix
+    // and its fault offsets); the client's reconnect+RESUME must
+    // survive the fault.
+    let proxy = chaos_seed.map(|seed| chaos_proxy(addr, seed)).transpose()?;
+    let dial = proxy
+        .as_ref()
+        .map_or(addr.to_owned(), |p| p.local_addr().to_string());
     let mut client = tnb_gateway::GatewayClient::connect(
-        addr,
-        std::time::Duration::from_secs(flags.parse_or("--connect-timeout", 10u64)?),
-    )
-    .map_err(|e| format!("connect {addr}: {e}"))?;
-    client
-        .send_samples_mode(stream_id, &samples, chunk, flags.has("--wideband"))
-        .map_err(|e| format!("stream: {e}"))?;
-    client
-        .end_stream(stream_id)
-        .map_err(|e| format!("stream: {e}"))?;
-    if flags.has("--stats") {
-        client.request_stats().map_err(|e| format!("stats: {e}"))?;
-    }
-    if flags.has("--shutdown") {
-        client
-            .request_shutdown()
-            .map_err(|e| format!("shutdown: {e}"))?;
-    }
-    for line in client.finish() {
-        println!("{line}");
-    }
-    Ok(())
-}
-
-/// The `--chaos-seed` leg of `gateway send`: route the connection
-/// through an in-process [`tnb_gateway::NetFaultPlan`] proxy (the seed picks one
-/// injector from the matrix and its fault offsets) and drive it with
-/// the resilient client, proving reconnect+RESUME survives the fault.
-fn gateway_send_chaos(
-    flags: &Flags,
-    addr: &str,
-    chaos_seed: u64,
-    stream_id: u32,
-    samples: &[tnb_dsp::Complex32],
-    chunk: usize,
-) -> Result<(), String> {
-    use std::net::ToSocketAddrs;
-    let target = addr
-        .to_socket_addrs()
-        .map_err(|e| format!("resolve {addr}: {e}"))?
-        .next()
-        .ok_or_else(|| format!("resolve {addr}: no address"))?;
-    let plans = tnb_gateway::NetFaultPlan::matrix(chaos_seed);
-    let pick = (chaos_seed % plans.len() as u64) as usize;
-    let plan = plans.into_iter().nth(pick).ok_or("empty chaos matrix")?;
-    eprintln!(
-        "chaos: injecting '{}' (seed {chaos_seed}) between client and {target}",
-        plan.name
-    );
-    let proxy =
-        tnb_gateway::ChaosProxy::spawn(target, plan).map_err(|e| format!("chaos proxy: {e}"))?;
-    let mut client = tnb_gateway::ResilientClient::connect(
-        proxy.local_addr(),
-        tnb_gateway::ResilientConfig {
-            seed: chaos_seed,
+        dial.as_str(),
+        tnb_gateway::ClientConfig {
             connect_timeout: std::time::Duration::from_secs(
                 flags.parse_or("--connect-timeout", 10u64)?,
             ),
-            ..tnb_gateway::ResilientConfig::default()
+            seed: chaos_seed.unwrap_or(0),
         },
     )
     .map_err(|e| format!("connect {addr}: {e}"))?;
     client
-        .send_samples_mode(stream_id, samples, chunk, flags.has("--wideband"))
+        .send_samples(stream_id, &samples, chunk, flags.has("--wideband"))
         .map_err(|e| format!("stream: {e}"))?;
     client
         .end_stream(stream_id)
@@ -844,13 +800,28 @@ fn gateway_send_chaos(
     for line in client.finish() {
         println!("{line}");
     }
-    let (conns, up, down, faults) = proxy.stats();
-    eprintln!(
-        "chaos: {} reconnect(s), {} frame(s) resent, proxy saw {} connection(s), \
-         {} byte(s) up / {} down, {} fault(s) fired",
-        cstats.reconnects, cstats.retransmitted_frames, conns, up, down, faults
-    );
+    if let Some(proxy) = proxy {
+        let (conns, up, down, faults) = proxy.stats();
+        eprintln!(
+            "chaos: {} reconnect(s), {} frame(s) resent, proxy saw {} connection(s), \
+             {} byte(s) up / {} down, {} fault(s) fired",
+            cstats.reconnects, cstats.retransmitted_frames, conns, up, down, faults
+        );
+    }
     Ok(())
+}
+
+/// Spawns the `gateway send --chaos-seed` proxy in front of `addr`:
+/// plan `seed % 8` of [`tnb_gateway::NetFaultPlan::matrix`].
+fn chaos_proxy(addr: &str, seed: u64) -> Result<tnb_gateway::ChaosProxy, String> {
+    let plans = tnb_gateway::NetFaultPlan::matrix(seed);
+    let pick = (seed % plans.len() as u64) as usize;
+    let plan = plans.into_iter().nth(pick).ok_or("empty chaos matrix")?;
+    eprintln!(
+        "chaos: injecting '{}' (seed {seed}) between client and {addr}",
+        plan.name
+    );
+    tnb_gateway::ChaosProxy::spawn(addr, plan).map_err(|e| format!("chaos proxy: {e}"))
 }
 
 /// `tnb-cli gateway bench`: loopback throughput (daemon + client in one

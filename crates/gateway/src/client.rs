@@ -1,19 +1,18 @@
-//! Loopback / load-generator clients for the gateway wire protocol.
+//! The gateway wire-protocol client.
 //!
-//! Two clients share the framed IQ protocol of [`crate::wire`] over a
-//! plain [`TcpStream`]:
+//! [`GatewayClient`] speaks the framed IQ protocol of [`crate::wire`]
+//! over a plain [`TcpStream`]: a HELLO session handshake, chunked DATA
+//! frames per stream, END_STREAM / STATS / SHUTDOWN / PING verbs, and
+//! a background reader collecting the daemon's JSON lines. Every sent
+//! frame stays in a bounded resend buffer until the daemon acks it, so
+//! a send that hits a dead socket (a daemon bounce, a chaos-proxy
+//! disconnect) reconnects with seeded-jitter exponential backoff,
+//! RESUMEs the session and resends the unacked tail — the uplink
+//! transcript then matches a clean run byte for byte whenever the
+//! buffer still holds that tail. On a healthy link the same code is a
+//! plain connection.
 //!
-//! - [`GatewayClient`] — the minimal fire-and-forget sender: chunked
-//!   DATA frames per stream, END_STREAM / STATS / SHUTDOWN verbs, and a
-//!   background reader collecting the daemon's JSON uplink lines.
-//! - [`ResilientClient`] — the fault-tolerant sender behind
-//!   `gateway send`: HELLO/RESUME session handshake, seeded-jitter
-//!   exponential-backoff reconnect, and a bounded
-//!   resend-from-last-acked frame buffer, so an uplink survives a
-//!   daemon bounce (or a chaos-proxy disconnect) with a byte-identical
-//!   transcript whenever the buffer still holds the unacked tail.
-//!
-//! The traffic synthesis that drives these clients lives in `tnb-sim`
+//! The traffic synthesis that drives the client lives in `tnb-sim`
 //! (the layer above); this module is only the socket plumbing, so
 //! integration tests and the CLI can reuse it.
 
@@ -36,15 +35,12 @@ pub const DEFAULT_CHUNK: usize = 65_536;
 /// 320 ms ceiling, clipped to the remaining deadline) until `timeout`.
 /// The backoff keeps a daemon that is still binding from being
 /// hammered by a hot connect loop.
-fn connect_with_backoff<A: ToSocketAddrs + Clone>(
-    addr: A,
-    timeout: Duration,
-) -> io::Result<TcpStream> {
+fn connect_with_backoff(addr: SocketAddr, timeout: Duration) -> io::Result<TcpStream> {
     // tnb-lint: allow(TNB-DET01) -- control-plane connect deadline, never on the decode path
     let deadline = Instant::now() + timeout;
     let mut delay = Duration::from_millis(10);
     loop {
-        match TcpStream::connect(addr.clone()) {
+        match TcpStream::connect(addr) {
             Ok(s) => return Ok(s),
             Err(e) => {
                 // tnb-lint: allow(TNB-DET01) -- control-plane connect deadline, never on the decode path
@@ -59,187 +55,64 @@ fn connect_with_backoff<A: ToSocketAddrs + Clone>(
     }
 }
 
-/// A connected gateway client. Writes frames on the caller's thread;
-/// a background thread accumulates every uplink line the daemon sends.
-pub struct GatewayClient {
-    sock: TcpStream,
-    reader: Option<JoinHandle<Vec<String>>>,
-    next_seq: BTreeMap<u32, u32>,
-}
-
-impl GatewayClient {
-    /// Connects, retrying with backoff until `timeout` (the daemon
-    /// binds and starts accepting asynchronously). The deadline is
-    /// control-plane only — nothing on the decode path ever reads the
-    /// wall clock.
-    pub fn connect<A: ToSocketAddrs + Clone>(addr: A, timeout: Duration) -> io::Result<Self> {
-        let sock = connect_with_backoff(addr, timeout)?;
-        sock.set_nodelay(true).ok();
-        let read_half = sock.try_clone()?;
-        let reader = thread::spawn(move || {
-            let mut lines = Vec::new();
-            for line in BufReader::new(read_half).lines() {
-                match line {
-                    Ok(l) => lines.push(l),
-                    Err(_) => break,
-                }
-            }
-            lines
-        });
-        Ok(GatewayClient {
-            sock,
-            reader: Some(reader),
-            next_seq: BTreeMap::new(),
-        })
-    }
-
-    /// Streams `samples` as DATA frames of `chunk_len` samples on
-    /// `stream_id`, quantizing through the shared wire quantizer (so a
-    /// local reference decode over [`crate::wire::quantize`]d samples
-    /// sees exactly the bytes the daemon sees). Returns the number of
-    /// frames sent.
-    pub fn send_samples(
-        &mut self,
-        stream_id: u32,
-        samples: &[Complex32],
-        chunk_len: usize,
-    ) -> io::Result<u32> {
-        self.send_samples_mode(stream_id, samples, chunk_len, false)
-    }
-
-    /// Like [`Self::send_samples`]; with `wideband` set every DATA frame
-    /// carries the WIDEBAND flag, so the daemon channelizes the stream
-    /// into the 8 LoRa uplink channels before decoding.
-    pub fn send_samples_mode(
-        &mut self,
-        stream_id: u32,
-        samples: &[Complex32],
-        chunk_len: usize,
-        wideband: bool,
-    ) -> io::Result<u32> {
-        let mut sent = 0;
-        for chunk in samples.chunks(chunk_len.clamp(1, MAX_FRAME_SAMPLES)) {
-            let seq = self.bump_seq(stream_id);
-            self.sock
-                .write_all(&encode_frame(&data_frame(stream_id, seq, chunk, wideband)))?;
-            sent += 1;
-        }
-        self.sock.flush()?;
-        Ok(sent)
-    }
-
-    /// Sends one raw, already-built frame (fault-injection tests use
-    /// this to ship deliberately corrupted byte strings).
-    pub fn send_raw(&mut self, bytes: &[u8]) -> io::Result<()> {
-        self.sock.write_all(bytes)?;
-        self.sock.flush()
-    }
-
-    /// END_STREAM: the daemon flushes the stream's receiver and writes
-    /// its end-of-stream report line.
-    pub fn end_stream(&mut self, stream_id: u32) -> io::Result<()> {
-        let seq = self.bump_seq(stream_id);
-        self.sock
-            .write_all(&encode_frame(&Frame::end_stream(stream_id, seq)))?;
-        self.sock.flush()
-    }
-
-    /// STATS: the daemon replies with one stats JSON line.
-    pub fn request_stats(&mut self) -> io::Result<()> {
-        self.sock.write_all(&encode_frame(&Frame::stats()))?;
-        self.sock.flush()
-    }
-
-    /// SHUTDOWN: asks the whole daemon to shut down gracefully.
-    pub fn request_shutdown(&mut self) -> io::Result<()> {
-        self.sock.write_all(&encode_frame(&Frame::shutdown()))?;
-        self.sock.flush()
-    }
-
-    /// Closes the write half and returns every JSON line the daemon
-    /// sent (the daemon flushes end-of-stream lines on EOF, so this
-    /// collects a complete transcript).
-    pub fn finish(mut self) -> Vec<String> {
-        let _ = self.sock.shutdown(Shutdown::Write);
-        match self.reader.take() {
-            Some(h) => h.join().unwrap_or_default(),
-            None => Vec::new(),
-        }
-    }
-
-    fn bump_seq(&mut self, stream_id: u32) -> u32 {
-        let seq = self.next_seq.entry(stream_id).or_insert(0);
-        let cur = *seq;
-        *seq = seq.wrapping_add(1);
-        cur
-    }
-}
-
-impl Drop for GatewayClient {
-    fn drop(&mut self) {
-        let _ = self.sock.shutdown(Shutdown::Both);
-        if let Some(h) = self.reader.take() {
-            let _ = h.join();
-        }
-    }
-}
-
-/// The DATA frame carrying one chunk, WIDEBAND-flagged when `wideband`
-/// (the daemon then channelizes the stream before decoding).
-fn data_frame(stream_id: u32, seq: u32, chunk: &[Complex32], wideband: bool) -> Frame {
-    if wideband {
-        Frame::data_wideband(stream_id, seq, chunk.to_vec())
-    } else {
-        Frame::data(stream_id, seq, chunk.to_vec())
-    }
-}
-
-// ---------------------------------------------------------------------
-// Resilient client
-// ---------------------------------------------------------------------
-
-/// Knobs of the [`ResilientClient`] reconnect machinery. Everything is
-/// deterministic given `seed`: the backoff jitter comes from a seeded
-/// LCG, never the clock or the OS RNG.
+/// Settings of a [`GatewayClient`]. Everything is deterministic given
+/// `seed`: the backoff jitter comes from a seeded LCG, never the clock
+/// or the OS RNG.
 #[derive(Debug, Clone, Copy)]
-pub struct ResilientConfig {
+pub struct ClientConfig {
     /// Per-dial connect deadline (also used for the first connect).
     pub connect_timeout: Duration,
-    /// Reconnect attempts per failed send before giving up.
-    pub max_reconnects: u32,
-    /// Backoff base: attempt `n` sleeps `base * 2^n` (plus jitter).
-    pub base_delay: Duration,
     /// Jitter seed (LCG); same seed → same delay schedule.
     pub seed: u64,
-    /// How long to wait for the daemon's `hello` / `resumed` / `pong`
-    /// reply lines.
-    pub reply_timeout: Duration,
 }
 
-impl Default for ResilientConfig {
+impl Default for ClientConfig {
     fn default() -> Self {
-        ResilientConfig {
+        ClientConfig {
             connect_timeout: Duration::from_secs(2),
-            max_reconnects: 5,
-            base_delay: Duration::from_millis(20),
             seed: 0,
-            reply_timeout: Duration::from_secs(5),
         }
     }
 }
 
-/// Backoff ceiling of the [`ResilientClient`] reconnect schedule.
+/// Reconnect attempts per failed send (and per stalled
+/// [`GatewayClient::drain`]) before giving up.
+const MAX_RECONNECTS: u32 = 10;
+
+/// Backoff base: attempt `n` sleeps `BASE_DELAY * 2^n` (plus jitter).
+const BASE_DELAY: Duration = Duration::from_millis(20);
+
+/// Backoff ceiling of the reconnect schedule.
 const MAX_DELAY: Duration = Duration::from_millis(500);
 
+/// How long to wait for the daemon's `hello` / `resumed` / `pong`
+/// reply lines, and for ack progress in [`GatewayClient::drain`].
+const REPLY_TIMEOUT: Duration = Duration::from_secs(10);
+
 /// Resend-buffer bound, in frames. Older unacked frames beyond it are
-/// evicted (counted in [`ResilientStats::resend_evicted`]) — past that
+/// evicted (counted in [`ClientStats::resend_evicted`]) — past that
 /// point a resume can no longer guarantee a gap-free stream.
 const RESEND_FRAMES: usize = 1024;
+
+/// Seeded-jitter exponential backoff: [`BASE_DELAY`]` * 2^attempt`
+/// capped at [`MAX_DELAY`], plus an LCG-jittered fraction of
+/// [`BASE_DELAY`]. Advances `rng`, so successive calls draw fresh
+/// jitter.
+fn backoff_delay(rng: &mut u64, attempt: u32) -> Duration {
+    *rng = rng
+        .wrapping_mul(6364136223846793005)
+        .wrapping_add(1442695040888963407);
+    let exp = BASE_DELAY
+        .saturating_mul(1u32 << attempt.min(16))
+        .min(MAX_DELAY);
+    let jitter_ms = (*rng >> 33) % BASE_DELAY.as_millis() as u64;
+    exp + Duration::from_millis(jitter_ms)
+}
 
 /// Client-side resilience counters (the daemon-side mirror lives in
 /// [`crate::stats::GatewayStats`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ResilientStats {
+pub struct ClientStats {
     /// Successful reconnect+RESUME cycles.
     pub reconnects: u64,
     /// Buffered frames re-sent after a resume.
@@ -354,15 +227,17 @@ fn spawn_link_reader(read_half: TcpStream, link: Arc<Link>) -> JoinHandle<()> {
     })
 }
 
-/// The fault-tolerant gateway client: HELLO on connect, seeded-jitter
+/// A connected gateway client: HELLO on connect, seeded-jitter
 /// exponential-backoff reconnect with RESUME, and a bounded
-/// resend-from-last-acked frame buffer. Any send that hits a dead
-/// socket transparently reconnects, resumes the session, and resends
-/// the unacked tail — the daemon's seq cursors make the resend
-/// idempotent, so the uplink transcript matches a clean run.
-pub struct ResilientClient {
+/// resend-from-last-acked frame buffer. Writes frames on the caller's
+/// thread; a background thread accumulates every line the daemon
+/// sends. Any send that hits a dead socket transparently reconnects,
+/// resumes the session, and resends the unacked tail — the daemon's seq
+/// cursors make the resend idempotent, so the uplink transcript matches
+/// a clean run.
+pub struct GatewayClient {
     addr: SocketAddr,
-    cfg: ResilientConfig,
+    connect_timeout: Duration,
     sock: TcpStream,
     reader: Option<JoinHandle<()>>,
     link: Arc<Link>,
@@ -370,13 +245,16 @@ pub struct ResilientClient {
     next_seq: BTreeMap<u32, u32>,
     buffer: VecDeque<BufferedFrame>,
     rng: u64,
-    stats: ResilientStats,
+    stats: ClientStats,
 }
 
-impl ResilientClient {
-    /// Connects, performs the HELLO handshake, and waits for the
-    /// daemon's session token.
-    pub fn connect<A: ToSocketAddrs>(addr: A, cfg: ResilientConfig) -> io::Result<Self> {
+impl GatewayClient {
+    /// Connects, retrying with backoff until `cfg.connect_timeout` (the
+    /// daemon binds and starts accepting asynchronously), performs the
+    /// HELLO handshake, and waits for the daemon's session token. The
+    /// deadlines are control-plane only — nothing on the decode path
+    /// ever reads the wall clock.
+    pub fn connect<A: ToSocketAddrs>(addr: A, cfg: ClientConfig) -> io::Result<Self> {
         let addr = addr
             .to_socket_addrs()?
             .next()
@@ -389,9 +267,9 @@ impl ResilientClient {
             cv: Condvar::new(),
         });
         let reader = spawn_link_reader(read_half, Arc::clone(&link));
-        let mut client = ResilientClient {
+        let mut client = GatewayClient {
             addr,
-            cfg,
+            connect_timeout: cfg.connect_timeout,
             sock,
             reader: Some(reader),
             link,
@@ -399,10 +277,10 @@ impl ResilientClient {
             next_seq: BTreeMap::new(),
             buffer: VecDeque::new(),
             rng: cfg.seed ^ 0x9e37_79b9_7f4a_7c15,
-            stats: ResilientStats::default(),
+            stats: ClientStats::default(),
         };
         client.sock.write_all(&encode_frame(&Frame::hello()))?;
-        let token = client.wait_state(cfg.reply_timeout, |st| st.session);
+        let token = client.wait_state(REPLY_TIMEOUT, |st| st.session);
         match token {
             Some(t) => {
                 client.token = t;
@@ -421,26 +299,19 @@ impl ResilientClient {
     }
 
     /// Client-side resilience counters.
-    pub fn stats(&self) -> ResilientStats {
+    pub fn stats(&self) -> ClientStats {
         self.stats
     }
 
-    /// Streams `samples` as DATA frames (see
-    /// [`GatewayClient::send_samples`]), surviving daemon bounces via
-    /// reconnect+RESUME+resend. Returns the number of frames sent
-    /// (retransmissions not counted).
+    /// Streams `samples` as DATA frames of `chunk_len` samples on
+    /// `stream_id`, quantizing through the shared wire quantizer (so a
+    /// local reference decode over [`crate::wire::quantize`]d samples
+    /// sees exactly the bytes the daemon sees). With `wideband` set
+    /// every frame carries the WIDEBAND flag, so the daemon channelizes
+    /// the stream into the 8 LoRa uplink channels before decoding.
+    /// Survives daemon bounces via reconnect+RESUME+resend. Returns the
+    /// number of frames sent (retransmissions not counted).
     pub fn send_samples(
-        &mut self,
-        stream_id: u32,
-        samples: &[Complex32],
-        chunk_len: usize,
-    ) -> io::Result<u32> {
-        self.send_samples_mode(stream_id, samples, chunk_len, false)
-    }
-
-    /// Like [`Self::send_samples`], WIDEBAND-flagged when `wideband` is
-    /// set (see [`GatewayClient::send_samples_mode`]).
-    pub fn send_samples_mode(
         &mut self,
         stream_id: u32,
         samples: &[Complex32],
@@ -450,11 +321,22 @@ impl ResilientClient {
         let mut sent = 0;
         for chunk in samples.chunks(chunk_len.clamp(1, MAX_FRAME_SAMPLES)) {
             let seq = self.bump_seq(stream_id);
-            let frame = data_frame(stream_id, seq, chunk, wideband);
+            let frame = if wideband {
+                Frame::data_wideband(stream_id, seq, chunk.to_vec())
+            } else {
+                Frame::data(stream_id, seq, chunk.to_vec())
+            };
             self.ship(stream_id, seq, encode_frame(&frame))?;
             sent += 1;
         }
         Ok(sent)
+    }
+
+    /// Sends one raw, already-built frame, outside the resend buffer
+    /// and the seq cursors (fault-injection tests use this to ship
+    /// hand-numbered or deliberately corrupted byte strings).
+    pub fn send_raw(&mut self, bytes: &[u8]) -> io::Result<()> {
+        self.sock.write_all(bytes)
     }
 
     /// END_STREAM with resend protection: if the END frame (or any
@@ -475,9 +357,7 @@ impl ResilientClient {
         }
         self.sock.write_all(&encode_frame(&Frame::ping(nonce)))?;
         Ok(self
-            .wait_state(self.cfg.reply_timeout, |st| {
-                st.last_pong.filter(|&n| n == nonce)
-            })
+            .wait_state(REPLY_TIMEOUT, |st| st.last_pong.filter(|&n| n == nonce))
             .is_some())
     }
 
@@ -498,7 +378,7 @@ impl ResilientClient {
     /// succeeded" into "the daemon consumed it": a send swallowed by a
     /// dying socket's kernel buffer is detected here and replayed.
     pub fn drain(&mut self) -> io::Result<()> {
-        let mut attempts_left = self.cfg.max_reconnects.max(1);
+        let mut attempts_left = MAX_RECONNECTS;
         loop {
             self.prune_acked();
             if self.buffer.is_empty() {
@@ -508,7 +388,7 @@ impl ResilientClient {
                 let st = self.link.lock_state();
                 st.acks.clone()
             };
-            if self.wait_until(self.cfg.reply_timeout, |st| st.acks != before) {
+            if self.wait_until(REPLY_TIMEOUT, |st| st.acks != before) {
                 continue;
             }
             if attempts_left == 0 {
@@ -544,10 +424,11 @@ impl ResilientClient {
         cur
     }
 
-    /// Buffers the frame, trims acked/overflowed entries, writes it,
+    /// Writes the frame, buffers it, trims acked/overflowed entries,
     /// and falls back to the reconnect path when the socket is dead.
     fn ship(&mut self, stream_id: u32, seq: u32, bytes: Vec<u8>) -> io::Result<()> {
         self.prune_acked();
+        let written = self.sock.write_all(&bytes).is_ok();
         self.buffer.push_back(BufferedFrame {
             stream_id,
             seq,
@@ -557,11 +438,7 @@ impl ResilientClient {
             self.buffer.pop_front();
             self.stats.resend_evicted += 1;
         }
-        let tail = match self.buffer.back() {
-            Some(f) => f.bytes.clone(),
-            None => return Ok(()),
-        };
-        if self.sock.write_all(&tail).is_ok() {
+        if written {
             return Ok(());
         }
         // Dead socket: the reconnect path resends the whole unacked
@@ -583,31 +460,18 @@ impl ResilientClient {
         });
     }
 
-    /// Seeded-jitter exponential backoff: `base * 2^attempt` capped at
-    /// [`MAX_DELAY`], plus an LCG-jittered fraction of `base`.
-    fn backoff_delay(&mut self, attempt: u32) -> Duration {
-        self.rng = self
-            .rng
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        let base = self.cfg.base_delay.max(Duration::from_millis(1));
-        let exp = base.saturating_mul(1u32 << attempt.min(16)).min(MAX_DELAY);
-        let jitter_ms = (self.rng >> 33) % (base.as_millis().max(1) as u64);
-        exp + Duration::from_millis(jitter_ms)
-    }
-
     /// Reconnect loop: backoff, dial, RESUME the session, resend every
     /// buffered frame at/ahead of the daemon's per-stream cursors.
     fn reconnect(&mut self) -> io::Result<()> {
-        'attempts: for attempt in 0..self.cfg.max_reconnects.max(1) {
+        'attempts: for attempt in 0..MAX_RECONNECTS {
             // Force the old reader to EOF so its lines are all in the
             // transcript before the new connection starts appending.
             let _ = self.sock.shutdown(Shutdown::Both);
             if let Some(h) = self.reader.take() {
                 let _ = h.join();
             }
-            thread::sleep(self.backoff_delay(attempt));
-            let Ok(sock) = connect_with_backoff(self.addr, self.cfg.connect_timeout) else {
+            thread::sleep(backoff_delay(&mut self.rng, attempt));
+            let Ok(sock) = connect_with_backoff(self.addr, self.connect_timeout) else {
                 continue;
             };
             sock.set_nodelay(true).ok();
@@ -628,7 +492,7 @@ impl ResilientClient {
             {
                 continue;
             }
-            let answered = self.wait_until(self.cfg.reply_timeout, |st| {
+            let answered = self.wait_until(REPLY_TIMEOUT, |st| {
                 st.resume_cursors.is_some() || st.goaways > goaways_before
             });
             if !answered {
@@ -704,7 +568,7 @@ impl ResilientClient {
     }
 }
 
-impl Drop for ResilientClient {
+impl Drop for GatewayClient {
     fn drop(&mut self) {
         let _ = self.sock.shutdown(Shutdown::Both);
         if let Some(h) = self.reader.take() {
@@ -743,30 +607,19 @@ mod tests {
 
     #[test]
     fn backoff_schedule_is_deterministic_per_seed() {
+        // The schedule needs no socket: only the seeded RNG feeds it.
+        // Eight attempts run past the point where the cap binds.
         let delays = |seed: u64| -> Vec<Duration> {
-            let cfg = ResilientConfig {
-                seed,
-                ..ResilientConfig::default()
-            };
-            // Build the schedule without a socket: only the RNG and the
-            // config feed it.
-            let mut rng = cfg.seed ^ 0x9e37_79b9_7f4a_7c15;
-            (0..5)
-                .map(|attempt: u32| {
-                    rng = rng
-                        .wrapping_mul(6364136223846793005)
-                        .wrapping_add(1442695040888963407);
-                    let base = cfg.base_delay.max(Duration::from_millis(1));
-                    let exp = base.saturating_mul(1u32 << attempt.min(16)).min(MAX_DELAY);
-                    exp + Duration::from_millis((rng >> 33) % (base.as_millis().max(1) as u64))
-                })
+            let mut rng = seed;
+            (0..8)
+                .map(|attempt| backoff_delay(&mut rng, attempt))
                 .collect()
         };
         assert_eq!(delays(42), delays(42), "same seed, same schedule");
         assert_ne!(delays(42), delays(43), "different seed, different jitter");
         // The exponential envelope grows and respects the cap.
         let d = delays(7);
-        let base = ResilientConfig::default().base_delay;
+        let base = BASE_DELAY;
         let cap = MAX_DELAY + base;
         assert!(d.iter().all(|&x| x <= cap), "{d:?}");
         assert!(d[4] >= Duration::from_millis(320 - 20), "{d:?}");

@@ -14,11 +14,10 @@
 //! - [`uplink`] — the JSON-lines uplink format for decoded packets
 //!   (Semtech `PUSH_DATA`-style `rxpk` objects, timestamps from the
 //!   sample clock — never the wall clock).
-//! - [`client`] — the loopback client used by `tnb-sim`'s load
-//!   generator, the CLI, and the integration tests, plus the
-//!   resilient variant ([`client::ResilientClient`]) with
-//!   HELLO/RESUME sessions, seeded-backoff reconnect, and a bounded
-//!   resend-from-last-acked buffer.
+//! - [`client`] — the one wire-protocol client ([`GatewayClient`]),
+//!   used by `tnb-sim`'s loopback harness, the CLI, and the
+//!   integration tests: HELLO/RESUME sessions, seeded-backoff
+//!   reconnect, and a bounded resend-from-last-acked buffer.
 //! - [`stats`] — `Sync` control-plane counters ([`tnb_metrics::SharedCounter`])
 //!   exposed through the STATS verb.
 //! - [`netfaults`] — the deterministic network-chaos harness: a seeded
@@ -38,7 +37,7 @@ pub mod stats;
 pub mod uplink;
 pub mod wire;
 
-pub use client::{GatewayClient, ResilientClient, ResilientConfig, ResilientStats};
+pub use client::{ClientConfig, ClientStats, GatewayClient};
 pub use netfaults::{ChaosProxy, NetFault, NetFaultPlan};
 pub use server::{Gateway, GatewayConfig};
 pub use stats::{GatewayStats, GatewayStatsSnapshot};

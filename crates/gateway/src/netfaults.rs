@@ -7,8 +7,8 @@
 //! in-process TCP proxy sitting between a client and the daemon:
 //!
 //! ```text
-//! ResilientClient ──► ChaosProxy (faults on client→daemon bytes) ──► Gateway
-//!                 ◄──────────── clean copy ◄─────────────────────────
+//! GatewayClient ──► ChaosProxy (faults on client→daemon bytes) ──► Gateway
+//!               ◄──────────── clean copy ◄─────────────────────────
 //! ```
 //!
 //! The injectors come in two flavors:
@@ -21,7 +21,7 @@
 //! - **Destructive** ([`NetFault::DisconnectAt`],
 //!   [`NetFault::BitFlip`]): the connection dies (or a frame is
 //!   corrupted, which the daemon's CRC turns into a connection-closing
-//!   wire error). A [`crate::client::ResilientClient`] recovers via
+//!   wire error). A [`crate::client::GatewayClient`] recovers via
 //!   reconnect + RESUME + resend; the soak test proves the recovered
 //!   transcript is byte-identical to a clean run. Destructive faults
 //!   are **one-shot**: armed only on the proxy's first connection, so

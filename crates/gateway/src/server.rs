@@ -413,7 +413,7 @@ impl Gateway {
 
     /// Requests shutdown without blocking; threads exit within one poll
     /// interval.
-    pub fn signal_shutdown(&self) {
+    fn signal_shutdown(&self) {
         self.shutdown.store(true, Ordering::SeqCst);
     }
 
@@ -758,7 +758,7 @@ struct Uplink {
 impl Uplink {
     /// Writes a *session line* (uplink / end / ack / stats / error):
     /// logged for resume replay on resumable connections. The set of
-    /// logged types must match what [`crate::client::ResilientClient`]
+    /// logged types must match what [`crate::client::GatewayClient`]
     /// counts as delivered.
     fn session(&mut self, line: &str, stats: &GatewayStats) {
         if self.logging {

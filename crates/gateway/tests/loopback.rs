@@ -5,9 +5,7 @@
 //! multiplexed streams, including payload bytes, outcomes, and
 //! sample-clock timestamps.
 
-use std::time::Duration;
-
-use tnb_gateway::{Gateway, GatewayClient, GatewayConfig};
+use tnb_gateway::{ClientConfig, Gateway, GatewayClient, GatewayConfig};
 use tnb_phy::{CodingRate, LoRaParams, SpreadingFactor};
 use tnb_sim::loopback::{self, LoopbackConfig};
 
@@ -76,9 +74,9 @@ fn loopback_byte_identical_four_workers() {
 fn stats_and_shutdown_verbs() {
     let gw = Gateway::spawn(("127.0.0.1", 0), GatewayConfig::new(params())).expect("bind");
     let addr = gw.local_addr();
-    let mut c = GatewayClient::connect(addr, Duration::from_secs(5)).expect("connect");
+    let mut c = GatewayClient::connect(addr, ClientConfig::default()).expect("connect");
     let samples = loopback::scene(&LoopbackConfig::new(params()), 0);
-    c.send_samples(0, &samples, 65_536).expect("stream");
+    c.send_samples(0, &samples, 65_536, false).expect("stream");
     c.end_stream(0).expect("end");
     c.request_stats().expect("stats");
     c.request_shutdown().expect("shutdown");

@@ -3,12 +3,13 @@
 //! incremented drop counter, the offending connection closes, and the
 //! daemon keeps serving every other connection. No panics anywhere.
 
-use std::time::Duration;
+use std::io::{BufRead, BufReader, Write};
+use std::net::{Shutdown, TcpStream};
 
 use tnb_channel::FaultPlan;
 use tnb_core::StreamingConfig;
 use tnb_gateway::wire::{encode_frame, HEADER_LEN};
-use tnb_gateway::{Frame, Gateway, GatewayClient, GatewayConfig};
+use tnb_gateway::{ClientConfig, Frame, Gateway, GatewayClient, GatewayConfig};
 use tnb_phy::{CodingRate, LoRaParams, SpreadingFactor};
 use tnb_sim::loopback::{scene, LoopbackConfig};
 
@@ -40,14 +41,20 @@ fn spawn_daemon() -> Gateway {
 }
 
 fn connect(gw: &Gateway) -> GatewayClient {
-    GatewayClient::connect(gw.local_addr(), Duration::from_secs(5)).expect("connect")
+    GatewayClient::connect(gw.local_addr(), ClientConfig::default()).expect("connect")
 }
 
-/// Sends `bytes` on a fresh connection and returns the daemon's lines.
+/// Sends `bytes` on a fresh plain connection (no session, so a wire
+/// error closes it instead of parking it for resume), closes the write
+/// half, and returns the daemon's lines.
 fn send_malformed(gw: &Gateway, bytes: &[u8]) -> Vec<String> {
-    let mut c = connect(gw);
-    c.send_raw(bytes).expect("send");
-    c.finish()
+    let mut peer = TcpStream::connect(gw.local_addr()).expect("connect");
+    peer.write_all(bytes).expect("send");
+    peer.shutdown(Shutdown::Write).expect("close write half");
+    BufReader::new(&peer)
+        .lines()
+        .map_while(Result::ok)
+        .collect()
 }
 
 fn error_line_of(lines: &[String]) -> Option<&String> {
@@ -109,7 +116,7 @@ fn every_malformation_yields_typed_error_and_daemon_survives() {
     // After all that abuse, a clean connection still decodes packets.
     let samples = collided_samples(7, 3);
     let mut c = connect(&gw);
-    c.send_samples(0, &samples, 65_536).expect("stream");
+    c.send_samples(0, &samples, 65_536, false).expect("stream");
     c.end_stream(0).expect("end");
     let lines = c.finish();
     assert!(
@@ -135,7 +142,8 @@ fn fault_injected_iq_never_kills_the_daemon() {
     for (i, (name, plan)) in FaultPlan::matrix(11).into_iter().enumerate() {
         let hostile = plan.apply(&clean);
         let mut c = connect(&gw);
-        c.send_samples(i as u32, &hostile, 32_768).expect("stream");
+        c.send_samples(i as u32, &hostile, 32_768, false)
+            .expect("stream");
         c.end_stream(i as u32).expect("end");
         let lines = c.finish();
         // Hostile IQ is *valid* wire traffic: the daemon must finish the
@@ -168,13 +176,13 @@ fn backpressure_drops_oldest_and_counts() {
     )
     .expect("bind");
     let samples = collided_samples(3, 3);
-    let mut c = GatewayClient::connect(gw.local_addr(), Duration::from_secs(5)).expect("connect");
+    let mut c = connect(&gw);
     // Ending stream 0 parks the decoder inside a full collision decode;
     // stream 1's small chunks then flood the 2-chunk queue far faster
     // than the decoder can drain it, forcing drop-oldest eviction.
-    c.send_samples(0, &samples, 65_536).expect("stream");
+    c.send_samples(0, &samples, 65_536, false).expect("stream");
     c.end_stream(0).expect("end");
-    c.send_samples(1, &samples, 1_024).expect("stream");
+    c.send_samples(1, &samples, 1_024, false).expect("stream");
     c.end_stream(1).expect("end");
     let lines = c.finish();
     assert!(

@@ -3,14 +3,14 @@
 //! the reconnect+RESUME path continuing a stream mid-packet with a
 //! byte-identical transcript.
 
-use std::io::{BufRead, BufReader, Read};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::time::Duration;
 
 use tnb_core::{StreamingConfig, StreamingReceiver};
 use tnb_gateway::netfaults::{NetFault, NetFaultPlan};
 use tnb_gateway::wire::{encode_frame, Frame};
-use tnb_gateway::{Gateway, GatewayClient, GatewayConfig, ResilientClient, ResilientConfig};
+use tnb_gateway::{ClientConfig, Gateway, GatewayClient, GatewayConfig};
 use tnb_phy::{CodingRate, LoRaParams, SpreadingFactor, Transmitter};
 use tnb_sim::loopback::{self, reference_transcript, scene, uplink_transcript, LoopbackConfig};
 
@@ -22,24 +22,15 @@ fn spawn_daemon(cfg: GatewayConfig) -> Gateway {
     Gateway::spawn(("127.0.0.1", 0), cfg).expect("bind loopback")
 }
 
-fn resilient(addr: std::net::SocketAddr) -> ResilientClient {
-    ResilientClient::connect(
-        addr,
-        ResilientConfig {
-            max_reconnects: 10,
-            base_delay: Duration::from_millis(20),
-            reply_timeout: Duration::from_secs(10),
-            ..ResilientConfig::default()
-        },
-    )
-    .expect("resilient connect")
+fn connect(addr: std::net::SocketAddr) -> GatewayClient {
+    GatewayClient::connect(addr, ClientConfig::default()).expect("connect")
 }
 
 #[test]
 fn hello_assigns_tokens_and_ping_answers_with_the_nonce() {
     let gw = spawn_daemon(GatewayConfig::new(params()));
-    let mut a = resilient(gw.local_addr());
-    let mut b = resilient(gw.local_addr());
+    let mut a = connect(gw.local_addr());
+    let mut b = connect(gw.local_addr());
     assert_ne!(a.session_token(), b.session_token(), "tokens are unique");
     assert!(a.session_token() > 0 && b.session_token() > 0);
     assert!(a.ping(0xC0FF_EE00).expect("ping"), "pong echoes the nonce");
@@ -56,15 +47,19 @@ fn idle_deadline_disconnects_a_silent_peer() {
         idle_timeout: Some(Duration::from_millis(150)),
         ..GatewayConfig::new(params())
     });
-    // A plain client that sends one frame, then goes silent.
-    let mut c = GatewayClient::connect(gw.local_addr(), Duration::from_secs(5)).expect("connect");
-    c.send_raw(&encode_frame(&Frame::stats())).expect("stats");
-    // Well past the idle deadline the daemon must have hung up on us:
-    // the reader thread sees EOF and finish() returns on its own (if
-    // the daemon did NOT disconnect, finish() would also return — the
-    // counters below are the discriminator).
-    std::thread::sleep(Duration::from_millis(600));
-    let lines = c.finish();
+    // A plain peer (no session) that sends one frame, then goes silent.
+    let mut peer = TcpStream::connect(gw.local_addr()).expect("tcp connect");
+    peer.write_all(&encode_frame(&Frame::stats()))
+        .expect("stats");
+    // Reading to EOF ends only when the daemon hangs up on the silent
+    // peer. The read timeout is a failsafe: a daemon that never hangs
+    // up fails the assertions below instead of hanging the test.
+    peer.set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("read timeout");
+    let lines: Vec<String> = BufReader::new(&peer)
+        .lines()
+        .map_while(Result::ok)
+        .collect();
     assert!(
         lines
             .iter()
@@ -82,11 +77,11 @@ fn admission_control_answers_busy_past_the_connection_cap() {
         max_conns: 1,
         ..GatewayConfig::new(params())
     });
-    let first = GatewayClient::connect(gw.local_addr(), Duration::from_secs(5)).expect("first");
-    // The daemon accepts, counts the active connection, then answers
-    // BUSY to the next peer without spawning a decode pipeline for it.
-    // The accept loop may need a beat to register the first connection.
-    std::thread::sleep(Duration::from_millis(100));
+    // The HELLO reply proves the daemon counted the first connection:
+    // the accept loop counts it before spawning the pipeline that
+    // answers HELLO. The daemon then answers BUSY to the next peer
+    // without spawning a decode pipeline for it.
+    let first = connect(gw.local_addr());
     let second = TcpStream::connect(gw.local_addr()).expect("tcp connect");
     let mut line = String::new();
     BufReader::new(&second)
@@ -143,8 +138,9 @@ fn backpressure_sheds_load_while_the_decoder_is_busy() {
         quota_chunks: 2,
         ..GatewayConfig::new(params())
     });
-    let mut c = GatewayClient::connect(gw.local_addr(), Duration::from_secs(5)).expect("connect");
-    c.send_samples(0, &heavy, heavy.len()).expect("heavy chunk");
+    let mut c = connect(gw.local_addr());
+    c.send_samples(0, &heavy, heavy.len(), false)
+        .expect("heavy chunk");
     let blast: Vec<u8> = (0..40)
         .flat_map(|_| {
             encode_frame(&Frame::data(
@@ -223,15 +219,16 @@ fn shutdown_with_streams_in_flight_drains_and_exits_clean() {
         ..LoopbackConfig::new(p)
     };
     let samples = scene(&cfg, 0);
-    let mut inflight = resilient(gw.local_addr());
-    inflight.send_samples(0, &samples, cfg.chunk).expect("send");
+    let mut inflight = connect(gw.local_addr());
+    inflight
+        .send_samples(0, &samples, cfg.chunk, false)
+        .expect("send");
     // No end_stream: the stream stays open. Wait until the daemon has
     // consumed (acked) every chunk, so the shutdown below races only
     // the flush, not the ingest.
     inflight.drain().expect("all chunks consumed");
 
-    let mut killer =
-        GatewayClient::connect(gw.local_addr(), Duration::from_secs(5)).expect("connect");
+    let mut killer = connect(gw.local_addr());
     killer.request_shutdown().expect("shutdown verb");
     let _ = killer.finish();
     let stats = gw.join();

@@ -7,12 +7,10 @@
 //! split cleanly into gaps (counted, frame accepted) and duplicates
 //! (counted, frame dropped — a replayed chunk is never decoded twice).
 
-use std::time::Duration;
-
 use tnb_gateway::wire::{encode_frame, Frame};
-use tnb_gateway::{Gateway, GatewayClient, GatewayConfig};
+use tnb_gateway::{ClientConfig, Gateway, GatewayClient, GatewayConfig};
 use tnb_phy::{CodingRate, LoRaParams, SpreadingFactor};
-use tnb_sim::loopback::{reference_transcript, run, scene, LoopbackConfig};
+use tnb_sim::loopback::{reference_transcript, run, scene, uplink_transcript, LoopbackConfig};
 
 fn params() -> LoRaParams {
     LoRaParams::new(SpreadingFactor::SF8, CodingRate::CR4)
@@ -92,7 +90,7 @@ fn duplicate_frames_are_dropped_and_counted_gaps_accepted() {
     // (identical bytes, a retransmission) must be dropped, so the decode
     // and transcript match a clean single send exactly.
     let gw = Gateway::spawn(("127.0.0.1", 0), GatewayConfig::new(p)).expect("bind");
-    let mut c = GatewayClient::connect(gw.local_addr(), Duration::from_secs(5)).expect("connect");
+    let mut c = GatewayClient::connect(gw.local_addr(), ClientConfig::default()).expect("connect");
     let chunks: Vec<_> = samples.chunks(chunk).collect();
     for (i, payload) in chunks.iter().enumerate() {
         let frame = Frame::data(0, i as u32, payload.to_vec());
@@ -103,7 +101,7 @@ fn duplicate_frames_are_dropped_and_counted_gaps_accepted() {
     }
     c.send_raw(&encode_frame(&Frame::end_stream(0, chunks.len() as u32)))
         .expect("end");
-    let lines = c.finish();
+    let lines = uplink_transcript(&c.finish());
     let stats = gw.join();
 
     let (reference, per_channel) = reference_transcript(&cfg, 0, &samples);
@@ -131,12 +129,12 @@ fn seq_gap_is_counted_and_stream_keeps_decoding() {
     cfg.chunk = chunk;
 
     let gw = Gateway::spawn(("127.0.0.1", 0), GatewayConfig::new(p)).expect("bind");
-    let mut c = GatewayClient::connect(gw.local_addr(), Duration::from_secs(5)).expect("connect");
+    let mut c = GatewayClient::connect(gw.local_addr(), ClientConfig::default()).expect("connect");
     // Seqs [0, 1, 5, 6]: one gap of 3 lost frames after seq 1 — counted
     // once, and the surviving frames still decode (all samples present,
     // only the numbering skipped).
     stream_with_seqs(&mut c, &samples, chunk, &[0, 1, 5, 6], 7);
-    let lines = c.finish();
+    let lines = uplink_transcript(&c.finish());
     let stats = gw.join();
 
     assert_eq!(stats.seq_gaps, 1, "{stats:?}");

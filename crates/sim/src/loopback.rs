@@ -8,11 +8,11 @@
 //! ([`reference_transcript`]). The front is picked by the config: no
 //! occupied channels streams pairwise-collided narrowband packets, any
 //! occupied channel streams an 8-channel wideband scene with the wire
-//! protocol's WIDEBAND flag. The link is a plain [`GatewayClient`]
-//! without a fault plan; with one, a [`ResilientClient`] (HELLO/RESUME
-//! sessions, reconnect, resend) drives the traffic through a
-//! [`ChaosProxy`] — every plan of [`NetFaultPlan::matrix`] is
-//! recoverable, so the transcript must still match byte for byte.
+//! protocol's WIDEBAND flag. One [`GatewayClient`] (HELLO/RESUME
+//! sessions, reconnect, resend) drives the traffic, straight at the
+//! daemon without a fault plan and through a [`ChaosProxy`] with one —
+//! every plan of [`NetFaultPlan::matrix`] is recoverable, so the
+//! transcript must still match byte for byte.
 
 use std::io;
 use std::time::{Duration, Instant};
@@ -27,8 +27,8 @@ use tnb_dsp::{ChannelizerConfig, Complex32};
 use tnb_gateway::client::DEFAULT_CHUNK;
 use tnb_gateway::wire::quantize;
 use tnb_gateway::{
-    uplink, ChaosProxy, Gateway, GatewayClient, GatewayConfig, GatewayStatsSnapshot, NetFaultPlan,
-    ResilientClient, ResilientConfig, ResilientStats,
+    uplink, ChaosProxy, ClientConfig, Gateway, GatewayClient, GatewayConfig, GatewayStatsSnapshot,
+    NetFaultPlan,
 };
 use tnb_phy::LoRaParams;
 
@@ -54,7 +54,7 @@ pub struct LoopbackConfig {
     /// Synthesis seed (stream `s` uses `seed + s`).
     pub seed: u64,
     /// Chaos between client and daemon; its `seed` also seeds the
-    /// resilient client's backoff jitter. `None` = a plain connection.
+    /// client's backoff jitter. `None` = a direct connection.
     pub faults: Option<NetFaultPlan>,
 }
 
@@ -97,9 +97,9 @@ impl LoopbackConfig {
 #[derive(Debug)]
 pub struct LoopbackOutcome {
     /// Per-stream lines received from the daemon, in arrival order
-    /// (index = stream id). A line naming no stream lands in one extra
-    /// trailing entry, which no reference has. Behind a fault plan only
-    /// uplink + end lines are kept ([`uplink_transcript`]).
+    /// (index = stream id), reduced to uplink + end lines
+    /// ([`uplink_transcript`]). A line naming an unknown stream lands
+    /// in one extra trailing entry, which no reference has.
     pub daemon_lines: Vec<Vec<String>>,
     /// Per-stream lines of the direct in-process decode.
     pub reference_lines: Vec<Vec<String>>,
@@ -307,43 +307,30 @@ pub fn run(cfg: &LoopbackConfig) -> io::Result<LoopbackOutcome> {
         },
     )?;
     let proxy = match &cfg.faults {
-        Some(plan) => Some((ChaosProxy::spawn(gw.local_addr(), plan.clone())?, plan.seed)),
+        Some(plan) => Some(ChaosProxy::spawn(gw.local_addr(), plan.clone())?),
         None => None,
     };
     let scenes: Vec<Vec<Complex32>> = (0..cfg.streams).map(|s| scene(cfg, s)).collect();
     let wideband = !cfg.occupied.is_empty();
 
-    let (transcript, client) = match &proxy {
-        Some((proxy, seed)) => {
-            let mut c = ResilientClient::connect(
-                proxy.local_addr(),
-                ResilientConfig {
-                    seed: *seed,
-                    max_reconnects: 10,
-                    base_delay: Duration::from_millis(20),
-                    reply_timeout: Duration::from_secs(10),
-                    ..ResilientConfig::default()
-                },
-            )?;
-            for (s, x) in (0..).zip(&scenes) {
-                c.send_samples_mode(s, x, cfg.chunk, wideband)?;
-                c.end_stream(s)?;
-            }
-            c.drain()?;
-            let client = c.stats();
-            (uplink_transcript(&c.finish()), client)
-        }
-        None => {
-            let mut c = GatewayClient::connect(gw.local_addr(), Duration::from_secs(5))?;
-            for (s, x) in (0..).zip(&scenes) {
-                c.send_samples_mode(s, x, cfg.chunk, wideband)?;
-                c.end_stream(s)?;
-            }
-            (c.finish(), ResilientStats::default())
-        }
-    };
+    let mut c = GatewayClient::connect(
+        proxy
+            .as_ref()
+            .map_or(gw.local_addr(), ChaosProxy::local_addr),
+        ClientConfig {
+            seed: cfg.faults.as_ref().map_or(0, |plan| plan.seed),
+            ..ClientConfig::default()
+        },
+    )?;
+    for (s, x) in (0..).zip(&scenes) {
+        c.send_samples(s, x, cfg.chunk, wideband)?;
+        c.end_stream(s)?;
+    }
+    c.drain()?;
+    let client = c.stats();
+    let transcript = uplink_transcript(&c.finish());
     let stats = gw.join();
-    let proxy_faults = proxy.map_or(0, |(p, _)| p.stats().3);
+    let proxy_faults = proxy.map_or(0, |p| p.stats().3);
 
     let mut reference_lines = Vec::new();
     let mut per_channel: Vec<u64> = Vec::new();

@@ -1,5 +1,5 @@
 //! Chaos soak: the full `NetFaultPlan::matrix` against a live daemon,
-//! driven through the `ChaosProxy` by the `ResilientClient`. Under
+//! driven through the `ChaosProxy` by the `GatewayClient`. Under
 //! every injector the daemon must never panic, the counters must
 //! account for the faults, and — since every matrix scenario is
 //! recoverable by construction (destructive faults are one-shot) — the
