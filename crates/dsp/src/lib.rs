@@ -41,4 +41,4 @@ pub use channelizer::{Channelizer, ChannelizerConfig};
 pub use complex::Complex32;
 pub use fft::FftPlan;
 pub use peakfinder::{find_peaks, Peak, PeakFinderConfig};
-pub use scratch::{DspScratch, FftPlanCache};
+pub use scratch::{DspScratch, FftPlanCache, RotatorMemo};

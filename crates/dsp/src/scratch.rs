@@ -19,6 +19,55 @@ use crate::fft::FftPlan;
 /// concurrent packets cannot pin an unbounded amount of memory.
 const POOL_CAP: usize = 256;
 
+/// Rotator tables kept by a [`RotatorMemo`]. One sync evaluation needs
+/// one table, but Thrive interleaves a few packets (one CFO each) per
+/// checking point, so a single slot would thrash there.
+const ROT_SLOTS: usize = 8;
+
+/// Fills `rot` with the CFO-removal rotator `e^{-j2π·δ·n/L}` for
+/// `n in 0..l`, `δ = cfo_cycles` (phase accumulated in `f64`, as
+/// everywhere else). Capacity is reused across calls.
+pub fn fill_rotator(l: usize, cfo_cycles: f64, rot: &mut Vec<Complex32>) {
+    let step = -2.0 * std::f64::consts::PI * cfo_cycles / l as f64;
+    rot.clear();
+    rot.extend((0..l).map(|n| Complex32::from_phase(step * n as f64)));
+}
+
+/// Memo of the last few rotator tables built by [`fill_rotator`], keyed
+/// by `(L, δ)` and evicted round-robin.
+///
+/// A table costs `L` `f64` `sin_cos` calls, and the decode loop asks for
+/// the same few over and over: the ten preamble windows of one sync
+/// evaluation share a CFO, SigCalc's windows share their packet's CFO,
+/// and the detector's downchirp scan always asks for `δ = 0`. The key is
+/// the exact bit pattern of `δ`, so a hit returns the very table a fresh
+/// fill would build. Slots keep their capacity, so a warm memo never
+/// allocates.
+#[derive(Debug, Default)]
+pub struct RotatorMemo {
+    keys: [Option<(usize, u64)>; ROT_SLOTS],
+    tables: [Vec<Complex32>; ROT_SLOTS],
+    next: usize,
+}
+
+impl RotatorMemo {
+    /// The rotator of length `len` for `cfo_cycles`, filled on a miss.
+    pub fn get(&mut self, len: usize, cfo_cycles: f64) -> &[Complex32] {
+        let key = Some((len, cfo_cycles.to_bits()));
+        let slot = match self.keys.iter().position(|k| *k == key) {
+            Some(i) => i,
+            None => {
+                let i = self.next;
+                self.next = (i + 1) % ROT_SLOTS;
+                fill_rotator(len, cfo_cycles, &mut self.tables[i]);
+                self.keys[i] = key;
+                i
+            }
+        };
+        &self.tables[slot]
+    }
+}
+
 /// Cache of [`FftPlan`]s keyed by transform size.
 ///
 /// LoRa processing only ever uses a handful of sizes (`2^SF · OSF` for
@@ -69,22 +118,25 @@ impl FftPlanCache {
 /// the workspace:
 ///
 /// - `cbuf` holds the current de-chirped window / in-place FFT,
-/// - `cacc_a` / `cacc_b` hold coherent spectrum accumulations (the
-///   fractional-sync search sums up- and down-chirp spectra),
+/// - `cacc_a` / `cacc_b` hold coherent *time-domain* sums (the
+///   fractional-sync search sums the carried up- and down-chirp windows
+///   before one de-chirp and FFT per direction),
 /// - `fbuf` holds a folded length-`N` signal vector,
-/// - `facc` holds a signal-vector accumulation across antennas.
+/// - `facc` holds a signal-vector accumulation across antennas,
+/// - `rot` memoizes CFO-rotator tables (private keys, so its contents
+///   always match them).
 #[derive(Debug, Default)]
 pub struct DspScratch {
     /// FFT plans keyed by size, built on first use.
     pub plans: FftPlanCache,
     /// Complex working buffer (de-chirped window, in-place FFT).
     pub cbuf: Vec<Complex32>,
-    /// Complex accumulator A (e.g. summed up-chirp spectra).
+    /// Complex accumulator A (e.g. summed up-chirp windows).
     pub cacc_a: Vec<Complex32>,
-    /// Complex accumulator B (e.g. summed down-chirp spectra).
+    /// Complex accumulator B (e.g. summed down-chirp windows).
     pub cacc_b: Vec<Complex32>,
-    /// CFO-rotator buffer (`e^{-j2πδn/L}` table refilled per window).
-    pub crot: Vec<Complex32>,
+    /// CFO-rotator tables (`e^{-j2πδn/L}`), built once per `(L, δ)`.
+    pub rot: RotatorMemo,
     /// Real working buffer (folded signal vector).
     pub fbuf: Vec<f32>,
     /// Real accumulator (signal vector summed across antennas).
@@ -162,6 +214,18 @@ mod tests {
     #[should_panic(expected = "power of two")]
     fn plan_cache_rejects_bad_size() {
         FftPlanCache::new().get(48);
+    }
+
+    #[test]
+    fn rotator_memo_hits_reuse_the_cached_table() {
+        let mut m = RotatorMemo::default();
+        let first = m.get(64, 0.3).as_ptr();
+        for i in 1..ROT_SLOTS {
+            m.get(64, i as f64);
+        }
+        // The memo is full; a hit neither refills nor evicts a slot.
+        assert_eq!(m.get(64, 0.3).as_ptr(), first);
+        assert_eq!(m.next, 0);
     }
 
     #[test]

@@ -316,6 +316,9 @@ pub struct StageCounters {
     pub sync_attempts: u64,
     /// Searches that produced a synchronized packet.
     pub sync_accepted: u64,
+    /// FFTs the searches ran (two per `Q` evaluation that read its
+    /// windows, so at most 72 per attempt).
+    pub sync_ffts: u64,
     /// Aligned signal vectors computed (SigCalc cache misses).
     pub sigcalc_vectors: u64,
     /// Checking points with at least one participating symbol.
@@ -361,6 +364,7 @@ impl StageCounters {
         self.detect_duplicates += other.detect_duplicates;
         self.sync_attempts += other.sync_attempts;
         self.sync_accepted += other.sync_accepted;
+        self.sync_ffts += other.sync_ffts;
         self.sigcalc_vectors += other.sigcalc_vectors;
         self.thrive_checkpoints += other.thrive_checkpoints;
         self.thrive_peaks_considered += other.thrive_peaks_considered;
@@ -392,6 +396,7 @@ impl StageCounters {
             Stage::Sync => vec![
                 ("attempts", self.sync_attempts),
                 ("accepted", self.sync_accepted),
+                ("ffts", self.sync_ffts),
             ],
             Stage::SigCalc => vec![("vectors", self.sigcalc_vectors)],
             Stage::Thrive => vec![
@@ -743,9 +748,9 @@ mod tests {
         assert_eq!(a.detect_windows, 15);
         assert_eq!(a.crc_fail, 2);
         // Every stage exposes at least one named counter, and every field
-        // belongs to exactly one stage (3+2+1+5+6+5 = 22 fields).
+        // belongs to exactly one stage (3+3+1+5+6+5 = 23 fields).
         let total: usize = Stage::ALL.iter().map(|s| a.stage_fields(*s).len()).sum();
-        assert_eq!(total, 22);
+        assert_eq!(total, 23);
     }
 
     #[test]

@@ -13,15 +13,8 @@
 
 use crate::chirp::ChirpTable;
 use crate::params::LoRaParams;
+use tnb_dsp::scratch::fill_rotator;
 use tnb_dsp::{simd, Complex32, DspScratch, FftPlan};
-
-/// Fills `rot` with the CFO-removal rotator `e^{-j2π·δ·n/L}` for
-/// `n in 0..l` (phase accumulated in `f64`, as everywhere else).
-fn fill_rot(l: usize, cfo_cycles: f64, rot: &mut Vec<Complex32>) {
-    let step = -2.0 * std::f64::consts::PI * cfo_cycles / l as f64;
-    rot.clear();
-    rot.extend((0..l).map(|n| Complex32::from_phase(step * n as f64)));
-}
 
 /// De-chirps `window` against `chirp` into `out`; with `rot` present the
 /// CFO rotator is applied as a second elementwise multiply, preserving
@@ -93,7 +86,7 @@ impl Demodulator {
             // Remove the CFO: multiply by e^{-j2π·δ·n/(N·U)} where δ is in
             // cycles per symbol.
             let mut rot: Vec<Complex32> = Vec::new();
-            fill_rot(l, cfo_cycles, &mut rot);
+            fill_rotator(l, cfo_cycles, &mut rot);
             dechirp_into(window, self.chirps.downchirp(), Some(&rot), &mut buf);
         }
         self.plan.forward(&mut buf);
@@ -130,7 +123,7 @@ impl Demodulator {
                                                                        // The rotator is applied even for a zero CFO (it is exactly 1+0i
                                                                        // there), matching the historical code path bit-for-bit.
         let mut rot: Vec<Complex32> = Vec::new();
-        fill_rot(l, cfo_cycles, &mut rot);
+        fill_rotator(l, cfo_cycles, &mut rot);
         let mut buf: Vec<Complex32> = Vec::with_capacity(l);
         dechirp_into(window, self.chirps.upchirp(), Some(&rot), &mut buf);
         self.plan.forward(&mut buf);
@@ -159,14 +152,10 @@ impl Demodulator {
         let l = self.params.samples_per_symbol();
         assert_eq!(window.len(), l, "window must be one symbol long"); // tnb-lint: allow(TNB-PANIC02) -- documented `# Panics` precondition: a wrong-length window is a caller bug, not hostile input
         let DspScratch {
-            plans, cbuf, crot, ..
+            plans, cbuf, rot, ..
         } = scratch;
-        if cfo_cycles == 0.0 {
-            dechirp_into(window, self.chirps.downchirp(), None, cbuf);
-        } else {
-            fill_rot(l, cfo_cycles, crot);
-            dechirp_into(window, self.chirps.downchirp(), Some(crot), cbuf);
-        }
+        let rot = (cfo_cycles != 0.0).then(|| rot.get(l, cfo_cycles));
+        dechirp_into(window, self.chirps.downchirp(), rot, cbuf);
         plans.get(l).forward(cbuf);
     }
 
@@ -182,10 +171,14 @@ impl Demodulator {
         let l = self.params.samples_per_symbol();
         assert_eq!(window.len(), l, "window must be one symbol long"); // tnb-lint: allow(TNB-PANIC02) -- documented `# Panics` precondition: a wrong-length window is a caller bug, not hostile input
         let DspScratch {
-            plans, cbuf, crot, ..
+            plans, cbuf, rot, ..
         } = scratch;
-        fill_rot(l, cfo_cycles, crot);
-        dechirp_into(window, self.chirps.upchirp(), Some(crot), cbuf);
+        dechirp_into(
+            window,
+            self.chirps.upchirp(),
+            Some(rot.get(l, cfo_cycles)),
+            cbuf,
+        );
         plans.get(l).forward(cbuf);
     }
 
@@ -395,5 +388,28 @@ mod tests {
         }
         // One plan (the demodulator's size) was cached along the way.
         assert_eq!(scratch.plans.len(), 1);
+
+        // The rotator memo must serve the table of the CFO asked for, not
+        // the last one filled: interleaved CFOs, more CFOs than the memo
+        // keeps followed by a revisit, and a demodulator of another size
+        // sharing the scratch at the same CFO.
+        let check = |d: &Demodulator, wave: &[Complex32], cfo: f64, s: &mut DspScratch| {
+            d.complex_spectrum_scratch(wave, cfo, s);
+            assert_eq!(d.complex_spectrum(wave, cfo), s.cbuf, "cfo={cfo}");
+            d.complex_spectrum_down_scratch(wave, cfo, s);
+            assert_eq!(d.complex_spectrum_down(wave, cfo), s.cbuf, "down cfo={cfo}");
+        };
+        for cfo in [0.75, -2.125, 0.75] {
+            check(&d, &wave, cfo, &mut scratch);
+        }
+        for i in 0..12 {
+            check(&d, &wave, 0.1 * i as f64 + 0.05, &mut scratch);
+        }
+        check(&d, &wave, 0.05, &mut scratch);
+        let d7 = demod(SpreadingFactor::SF7);
+        let wave7 = d7.chirps().symbol(45);
+        for (dm, w) in [(&d7, &wave7), (&d, &wave), (&d7, &wave7)] {
+            check(dm, w, 0.75, &mut scratch);
+        }
     }
 }
