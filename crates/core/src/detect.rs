@@ -179,19 +179,27 @@ impl Detector {
             ..PeakFinderConfig::default()
         };
 
+        // Per-window buffers, reused across windows.
+        let mut peaks: Vec<usize> = Vec::new();
+        let mut consumed: Vec<bool> = Vec::new();
         for w in 0..n_windows {
             self.demod
                 .signal_vector_scratch(&samples[w * l..(w + 1) * l], 0.0, scratch);
             let y = &scratch.fbuf;
-            let median = tnb_dsp::stats::median(y);
+            scratch.fsel.clear();
+            scratch.fsel.extend_from_slice(y);
+            let median = tnb_dsp::stats::median_mut(&mut scratch.fsel);
             let thresh = median * PEAK_MEDIAN_FACTOR;
-            let peaks: Vec<usize> = find_peaks(y, &finder_cfg)
-                .into_iter()
-                .filter(|p| p.height > thresh)
-                .map(|p| p.index)
-                .collect();
+            peaks.clear();
+            peaks.extend(
+                find_peaks(y, &finder_cfg)
+                    .into_iter()
+                    .filter(|p| p.height > thresh)
+                    .map(|p| p.index),
+            );
 
-            let mut consumed = vec![false; peaks.len()];
+            consumed.clear();
+            consumed.resize(peaks.len(), false);
             for run in active.iter_mut() {
                 if let Some(pi) = peaks
                     .iter()

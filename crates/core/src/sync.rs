@@ -15,13 +15,17 @@
 //! - **Phase 3**: `U + 1` points refining `δt` in steps of `1/U` chip
 //!   (= 1 receiver sample) around the phase-2 winner.
 //!
-//! Total: 36 evaluations for `U = 8`, matching the paper.
+//! Total: 36 grid points for `U = 8`, matching the paper. Two of them
+//! repeat an earlier point, and the search reuses that point's `Q`:
+//! `(0, δf*)` in phase 2, and `(δt₂, δf₂)` in phase 3 when a computed
+//! `δt` has `δt₂`'s exact bits (`i = U/2`, so never for an odd `U`).
 //!
 //! Each evaluation runs two FFTs, one per chirp direction, so an attempt
-//! costs at most 72. The de-chirp `d` and the CFO rotator `r` are the same
-//! for every window `wⱼ` of one evaluation and the FFT is linear, so the
-//! coherent sum of spectra with per-window carry phases `cⱼ` is one FFT
-//! of a time-domain sum: `Σⱼ cⱼ·FFT(wⱼ⊙d⊙r) = FFT(d⊙r⊙Σⱼ cⱼ·wⱼ)`.
+//! costs at most 68 for `U = 8` (34 evaluations). The de-chirp `d` and
+//! the CFO rotator `r` are the same for every window `wⱼ` of one
+//! evaluation and the FFT is linear, so the coherent sum of spectra with
+//! per-window carry phases `cⱼ` is one FFT of a time-domain sum:
+//! `Σⱼ cⱼ·FFT(wⱼ⊙d⊙r) = FFT(d⊙r⊙Σⱼ cⱼ·wⱼ)`.
 
 use crate::packet::DetectedPacket;
 use tnb_dsp::{Complex32, DspScratch};
@@ -121,27 +125,25 @@ fn search(
 
     // Phase 1: δt = 0, δf from −1 to 0.
     let steps = CFO_GRID - 1;
-    let mut best_df = 0.0;
-    let mut best_q = f32::NEG_INFINITY;
+    let mut p1: Option<(QValue, f64)> = None;
     for i in 0..=steps {
         let df = -1.0 + i as f64 / steps as f64;
         if let Some(v) = eval(0.0, df) {
-            if v.q > best_q {
-                best_q = v.q;
-                best_df = df;
+            if v.q > p1.map_or(f32::NEG_INFINITY, |(b, _)| b.q) {
+                p1 = Some((v, df));
             }
         }
     }
-    if best_q <= 0.0 {
-        return None;
-    }
+    let (best, best_df) = p1.filter(|(b, _)| b.q > 0.0)?;
 
     // Phase 2: δt ∈ {−1, −½, 0, ½, 1} chips × δf ∈ {δf*, δf*+1}, by Q*.
+    // Phase 1 already evaluated `(0, δf*)`.
     let mut p2: Option<(f32, f64, f64)> = None;
     for &df in &[best_df, best_df + 1.0] {
         for i in -2i64..=2 {
             let dt = i as f64 / 2.0;
-            if let Some(v) = eval(dt, df) {
+            let known = (i == 0 && df == best_df).then_some(best);
+            if let Some(v) = known.or_else(|| eval(dt, df)) {
                 if v.peaks_at_zero && p2.map(|(q, _, _)| v.q > q).unwrap_or(true) {
                     p2 = Some((v.q, dt, df));
                 }
@@ -149,19 +151,25 @@ fn search(
         }
     }
     // No `Q*` anywhere means no consistent peak: reject the preamble.
-    let (_, dt2, df2) = p2?;
+    let (q2, dt2, df2) = p2?;
 
-    // Phase 3: refine δt at 1/U-chip (1-sample) resolution.
+    // Phase 3: refine δt at 1/U-chip (1-sample) resolution. Phase 2
+    // already evaluated `(δt₂, δf₂)`, which this grid meets only when a
+    // computed δt has δt₂'s exact bits (at `i = U/2` for an even `U`).
     let mut p3: Option<(f32, f64)> = None;
     for i in 0..=params.osf {
         let dt = dt2 - 0.5 + i as f64 / u as f64;
-        if let Some(v) = eval(dt, df2) {
+        let known = (dt.to_bits() == dt2.to_bits()).then_some(QValue {
+            q: q2,
+            peaks_at_zero: true,
+        });
+        if let Some(v) = known.or_else(|| eval(dt, df2)) {
             if v.peaks_at_zero && p3.map(|(q, _)| v.q > q).unwrap_or(true) {
                 p3 = Some((v.q, dt));
             }
         }
     }
-    let (q3, dt3) = p3.unwrap_or((best_q, dt2));
+    let (q3, dt3) = p3.unwrap_or((best.q, dt2));
 
     let final_start = start as f64 + dt3 * u as f64;
     if final_start < 0.0 {
@@ -415,7 +423,8 @@ mod tests {
         let mut ffts = 0;
         let pkt = search(trace.samples(), &demod, 3_000, 0.0, &mut scratch, &mut ffts);
         assert!(pkt.is_some());
-        assert_eq!(ffts, 72);
+        // 36 grid points, two of them reused: 34 evaluations.
+        assert_eq!(ffts, 68);
         // Too close to the end for the downchirps: every evaluation bails.
         let late = trace.samples().len() as i64 - 11 * p.samples_per_symbol() as i64;
         let mut ffts = 0;

@@ -23,6 +23,13 @@
 //! The prototype is a Hamming-windowed sinc with cutoff at half the
 //! channel spacing and unity DC gain, generated in `f64`.
 //!
+//! Each output step reads its `l = M·8` taps as one contiguous slice: the
+//! delay line is mirrored (every sample is written twice, `l` apart), so
+//! no tap index wraps. The FIR runs tap block by tap block with one lane
+//! per branch `p`, so each `v_p` still sums its own taps in ascending
+//! order from zero. The DFT matrix is stored by column, and each output
+//! channel sums `v_p · e^{+j2πkp/M}` in ascending `p` from zero.
+//!
 //! Streaming state (the FIR delay line and the decimation phase) is kept
 //! across [`Channelizer::push`] calls, so output is **chunk-invariant**:
 //! any way of slicing the same input produces bit-identical per-channel
@@ -53,17 +60,23 @@ const TAPS_PER_PHASE: usize = 8;
 #[derive(Debug, Clone)]
 pub struct Channelizer {
     m: usize,
-    /// Hamming-windowed sinc prototype, length `m · TAPS_PER_PHASE`.
+    /// Hamming-windowed sinc prototype, length `l = m · TAPS_PER_PHASE`.
     proto: Vec<f32>,
-    /// DFT matrix `dft[k·m + p] = e^{+j2πkp/m}`, generated in `f64`.
-    dft: Vec<Complex32>,
-    /// FIR delay line (newest sample at `wpos`, ring layout).
+    /// DFT matrix in column order, one column per logical output channel:
+    /// `cols[p·m + c] = e^{+j2πkp/m}` with `k = (c + m/2) % m` the DFT bin
+    /// of channel `c`, generated in `f64`.
+    cols: Vec<Complex32>,
+    /// Mirrored FIR delay line of length `2l`: each sample is written at
+    /// `wpos` and `wpos + l`, so `delay[wpos + j]` is `x[now − j]` for
+    /// every tap `j < l` without wrapping.
     delay: Vec<Complex32>,
     wpos: usize,
     /// Input samples accumulated toward the next output step (0..m).
     phase: usize,
-    /// Per-step polyphase partial sums (scratch, length `m`).
+    /// Per-step polyphase partial sums `v_p` (scratch, length `m`).
     vbuf: Vec<Complex32>,
+    /// Per-step channel outputs (scratch, length `m`).
+    obuf: Vec<Complex32>,
 }
 
 impl Channelizer {
@@ -101,20 +114,22 @@ impl Channelizer {
             }
         }
         let proto: Vec<f32> = proto_f64.iter().map(|&h| h as f32).collect();
-        let dft: Vec<Complex32> = (0..m * m)
+        // Logical channel c (ascending frequency) is DFT bin (c + M/2) % M.
+        let cols: Vec<Complex32> = (0..m * m)
             .map(|i| {
-                let (k, p) = (i / m, i % m);
+                let (p, k) = (i / m, (i % m + m / 2) % m);
                 Complex32::from_phase(2.0 * std::f64::consts::PI * ((k * p) % m) as f64 / m as f64)
             })
             .collect();
         Channelizer {
             m,
             proto,
-            dft,
-            delay: vec![Complex32::ZERO; len],
+            cols,
+            delay: vec![Complex32::ZERO; 2 * len],
             wpos: 0,
             phase: 0,
-            vbuf: Vec::new(),
+            vbuf: vec![Complex32::ZERO; m],
+            obuf: vec![Complex32::ZERO; m],
         }
     }
 
@@ -143,10 +158,11 @@ impl Channelizer {
     /// samples). Channels beyond `out.len()` are dropped; extra `out`
     /// entries are left untouched.
     pub fn push(&mut self, samples: &[Complex32], out: &mut [Vec<Complex32>]) {
-        let l = self.delay.len();
+        let l = self.proto.len();
         for &s in samples {
             self.wpos = if self.wpos == 0 { l - 1 } else { self.wpos - 1 };
             self.delay[self.wpos] = s;
+            self.delay[self.wpos + l] = s;
             self.phase += 1;
             if self.phase == self.m {
                 self.phase = 0;
@@ -156,26 +172,30 @@ impl Channelizer {
     }
 
     /// One output step: polyphase partial sums, then the `M`-point DFT.
-    // tnb-lint: no_alloc
+    // tnb-lint: no_alloc_root -- per output step of the wideband front-end; every buffer is sized in `new`
     fn step(&mut self, out: &mut [Vec<Complex32>]) {
         let m = self.m;
-        let l = self.delay.len();
-        self.vbuf.clear();
-        self.vbuf.resize(m, Complex32::ZERO);
-        // delay[(wpos + j) % l] is x[now − j]; branch p accumulates taps
-        // j ≡ p (mod m) in ascending-j order (fixed, deterministic).
-        for (j, &h) in self.proto.iter().enumerate() {
-            let x = self.delay[(self.wpos + j) % l];
-            self.vbuf[j % m] += x.scale(h);
-        }
-        // Logical channel c (ascending frequency) is DFT bin (c + M/2) % M.
-        for (c, dst) in out.iter_mut().enumerate().take(m) {
-            let k = (c + m / 2) % m;
-            let mut acc = Complex32::ZERO;
-            for (p, &v) in self.vbuf.iter().enumerate() {
-                acc += v * self.dft[k * m + p];
+        let taps = self
+            .delay
+            .get(self.wpos..self.wpos + self.proto.len())
+            .unwrap_or_default();
+        // Tap block t holds taps j = t·m + p, one per branch p, so branch
+        // p accumulates its taps in ascending-j order from zero.
+        self.vbuf.fill(Complex32::ZERO);
+        for (xs, hs) in taps.chunks_exact(m).zip(self.proto.chunks_exact(m)) {
+            for ((v, &x), &h) in self.vbuf.iter_mut().zip(xs).zip(hs) {
+                *v += x.scale(h);
             }
-            dst.push(acc);
+        }
+        // Channel c accumulates v_p · w over ascending p from zero.
+        self.obuf.fill(Complex32::ZERO);
+        for (&v, ws) in self.vbuf.iter().zip(self.cols.chunks_exact(m)) {
+            for (o, &w) in self.obuf.iter_mut().zip(ws) {
+                *o += v * w;
+            }
+        }
+        for (dst, &y) in out.iter_mut().zip(&self.obuf) {
+            dst.push(y);
         }
     }
 }
@@ -274,6 +294,130 @@ mod tests {
             let mut ch2 = Channelizer::new(ChannelizerConfig::default());
             let split = run(&mut ch2, &input, chunk);
             assert_eq!(whole, split, "chunk={chunk}");
+        }
+    }
+
+    /// `Channelizer`'s state and kernel as they were before the mirrored
+    /// delay line, the branch-lane FIR and the column-ordered DFT, kept as
+    /// the bit-identity reference: a ring delay line indexed modulo its
+    /// length and a row-major DFT matrix.
+    struct FrozenChannelizer {
+        m: usize,
+        proto: Vec<f32>,
+        dft: Vec<Complex32>,
+        delay: Vec<Complex32>,
+        wpos: usize,
+        phase: usize,
+        vbuf: Vec<Complex32>,
+    }
+
+    impl FrozenChannelizer {
+        fn new(m: usize) -> Self {
+            let dft = (0..m * m)
+                .map(|i| {
+                    let (k, p) = (i / m, i % m);
+                    Complex32::from_phase(
+                        2.0 * std::f64::consts::PI * ((k * p) % m) as f64 / m as f64,
+                    )
+                })
+                .collect();
+            FrozenChannelizer {
+                m,
+                proto: Channelizer::new(ChannelizerConfig { channels: m }).proto,
+                dft,
+                delay: vec![Complex32::ZERO; m * TAPS_PER_PHASE],
+                wpos: 0,
+                phase: 0,
+                vbuf: Vec::new(),
+            }
+        }
+
+        fn reset(&mut self) {
+            for d in self.delay.iter_mut() {
+                *d = Complex32::ZERO;
+            }
+            self.wpos = 0;
+            self.phase = 0;
+        }
+
+        fn push(&mut self, samples: &[Complex32], out: &mut [Vec<Complex32>]) {
+            let l = self.delay.len();
+            for &s in samples {
+                self.wpos = if self.wpos == 0 { l - 1 } else { self.wpos - 1 };
+                self.delay[self.wpos] = s;
+                self.phase += 1;
+                if self.phase == self.m {
+                    self.phase = 0;
+                    self.frozen_step(out);
+                }
+            }
+        }
+
+        fn frozen_step(&mut self, out: &mut [Vec<Complex32>]) {
+            let m = self.m;
+            let l = self.delay.len();
+            self.vbuf.clear();
+            self.vbuf.resize(m, Complex32::ZERO);
+            for (j, &h) in self.proto.iter().enumerate() {
+                let x = self.delay[(self.wpos + j) % l];
+                self.vbuf[j % m] += x.scale(h);
+            }
+            for (c, dst) in out.iter_mut().enumerate().take(m) {
+                let k = (c + m / 2) % m;
+                let mut acc = Complex32::ZERO;
+                for (p, &v) in self.vbuf.iter().enumerate() {
+                    acc += v * self.dft[k * m + p];
+                }
+                dst.push(acc);
+            }
+        }
+    }
+
+    /// Bits with every NaN mapped to one pattern: NaN payloads are outside
+    /// the kernels' contract (see `tests/simd_parity.rs`).
+    fn canon(out: &[Vec<Complex32>]) -> Vec<Vec<(u32, u32)>> {
+        let c = |v: f32| if v.is_nan() { 0x7FC0_0000 } else { v.to_bits() };
+        out.iter()
+            .map(|o| o.iter().map(|z| (c(z.re), c(z.im))).collect())
+            .collect()
+    }
+
+    #[test]
+    fn bit_identical_to_the_frozen_channelizer() {
+        // A wideband mix with -0 runs and sparse NaN and ±inf samples.
+        let mut input = tone(300_000, 0.137);
+        for (i, v) in input.iter_mut().enumerate() {
+            match i % 4099 {
+                0 => v.re = f32::NAN,
+                1000 => v.im = f32::INFINITY,
+                2000 => v.re = f32::NEG_INFINITY,
+                3000..=3199 => *v = Complex32::new(-0.0, -0.0),
+                _ => {}
+            }
+        }
+        // Five channels as well as all eight: `push` fills only `out.len()`.
+        for channels in [8, 5] {
+            for chunk in [1usize, 7, 8, 64, 333, 262_144] {
+                let mut ch = Channelizer::new(ChannelizerConfig::default());
+                let mut frozen = FrozenChannelizer::new(8);
+                let mut got: Vec<Vec<Complex32>> = vec![Vec::new(); channels];
+                let mut want = got.clone();
+                // The second pass runs after a reset, from a state the
+                // first pass left mid-step.
+                for part in [&input[..], &input[..100_003]] {
+                    for c in part.chunks(chunk) {
+                        ch.push(c, &mut got);
+                        frozen.push(c, &mut want);
+                    }
+                    ch.reset();
+                    frozen.reset();
+                }
+                assert_eq!(
+                    canon(&got),
+                    canon(&want),
+                    "chunk={chunk} channels={channels}"
+                );
+            }
         }
     }
 

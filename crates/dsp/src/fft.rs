@@ -4,11 +4,19 @@
 //! (`2^SF` at base rate or `2^SF · OSF` oversampled, with SF ∈ 6..=12 and
 //! OSF a power of two), so a radix-2 kernel covers all of them.
 //!
-//! [`FftPlan`] precomputes twiddle factors and the bit-reversal permutation
+//! [`FftPlan`] precomputes twiddle factors and the bit-reversal swaps
 //! once per size; the de-chirp loop then reuses the plan for every symbol.
 //! Transforms are performed in place to avoid per-symbol allocations.
+//!
+//! The two small stages (`len = 2` and `4`, fewer than four butterflies
+//! per block) run inline, fused in registers one 4-point block at a time.
+//! Dispatch to [`crate::simd::butterfly`] starts at `half ≥ 4`, the first
+//! stage where a vector backend has a whole vector of butterflies to run.
+//! Every butterfly keeps the scalar reference's formula and operation
+//! order, so the output bits are the same on every backend.
 
 use crate::complex::Complex32;
+use crate::simd::butterfly_one;
 
 /// A reusable FFT plan for a fixed power-of-two size.
 ///
@@ -23,8 +31,10 @@ pub struct FftPlan {
     /// kernel walks a contiguous slice instead of a strided gather; the
     /// bits are identical to the classic half-size table. N−1 entries.
     stage_twiddles: Vec<Complex32>,
-    /// Bit-reversal permutation: `rev[i]` is `i` with `log2(N)` bits reversed.
-    rev: Vec<u32>,
+    /// The bit-reversal permutation as its swaps: each pair `(i, j)`,
+    /// `i < j`, with `j` being `i` with `log2(N)` bits reversed, in
+    /// ascending `i`.
+    swaps: Vec<(u32, u32)>,
 }
 
 impl FftPlan {
@@ -53,15 +63,16 @@ impl FftPlan {
             }
             len <<= 1;
         }
-        let rev = (0..size as u32)
-            .map(|i| i.reverse_bits() >> (32 - bits.max(1)))
-            .collect::<Vec<_>>();
-        // For size == 1 the shift above would be 31 and rev[0] must be 0,
-        // which it is; no special case needed beyond bits.max(1).
+        // For size == 1 the shift below would be 31 and maps 0 to 0, so
+        // no special case is needed beyond bits.max(1).
+        let swaps = (0..size as u32)
+            .map(|i| (i, i.reverse_bits() >> (32 - bits.max(1))))
+            .filter(|&(i, j)| j > i)
+            .collect();
         FftPlan {
             size,
             stage_twiddles,
-            rev,
+            swaps,
         }
     }
 
@@ -75,6 +86,7 @@ impl FftPlan {
     ///
     /// # Panics
     /// Panics if `buf.len() != self.size()`.
+    // tnb-lint: no_alloc_root -- in-place transform, run per symbol by every decode stage
     pub fn forward(&self, buf: &mut [Complex32]) {
         assert_eq!(buf.len(), self.size, "buffer length must match plan size"); // tnb-lint: allow(TNB-PANIC02) -- documented `# Panics` precondition: a mis-sized buffer is a caller bug
         self.permute(buf);
@@ -86,6 +98,7 @@ impl FftPlan {
     ///
     /// # Panics
     /// Panics if `buf.len() != self.size()`.
+    // tnb-lint: no_alloc_root -- in-place transform, run per symbol by every decode stage
     pub fn inverse(&self, buf: &mut [Complex32]) {
         assert_eq!(buf.len(), self.size, "buffer length must match plan size"); // tnb-lint: allow(TNB-PANIC02) -- documented `# Panics` precondition: a mis-sized buffer is a caller bug
         self.permute(buf);
@@ -96,12 +109,10 @@ impl FftPlan {
         }
     }
 
+    // tnb-lint: no_alloc
     fn permute(&self, buf: &mut [Complex32]) {
-        for i in 0..self.size {
-            let j = self.rev[i] as usize;
-            if j > i {
-                buf.swap(i, j);
-            }
+        for &(i, j) in &self.swaps {
+            buf.swap(i as usize, j as usize);
         }
     }
 
@@ -110,6 +121,11 @@ impl FftPlan {
         let n = self.size;
         let mut len = 2;
         let mut toff = 0;
+        if n >= 4 {
+            first_two_stages(buf, &self.stage_twiddles, inverse);
+            len = 8;
+            toff = 3;
+        }
         while len <= n {
             let half = len / 2;
             let tw = self
@@ -123,6 +139,34 @@ impl FftPlan {
             toff += half;
             len <<= 1;
         }
+    }
+}
+
+/// The `len = 2` and `len = 4` stages over every 4-point block of `buf`,
+/// in registers: per block, the two `len = 2` butterflies, then the two
+/// `len = 4` ones. `tw` starts with the stages' three forward twiddles.
+/// Each butterfly is the scalar reference's, so the bits match every
+/// backend: the vector kernels run fewer than four butterflies in scalar
+/// anyway.
+// tnb-lint: no_alloc
+#[inline(always)]
+fn first_two_stages(buf: &mut [Complex32], tw: &[Complex32], inverse: bool) {
+    let w = |k: usize| {
+        let t = tw.get(k).copied().unwrap_or_default();
+        if inverse {
+            t.conj()
+        } else {
+            t
+        }
+    };
+    let (w2, w40, w41) = (w(0), w(1), w(2));
+    for block in buf.chunks_exact_mut(4) {
+        let [mut x0, mut x1, mut x2, mut x3] = [block[0], block[1], block[2], block[3]];
+        butterfly_one(&mut x0, &mut x1, w2);
+        butterfly_one(&mut x2, &mut x3, w2);
+        butterfly_one(&mut x0, &mut x2, w40);
+        butterfly_one(&mut x1, &mut x3, w41);
+        block.copy_from_slice(&[x0, x1, x2, x3]);
     }
 }
 
@@ -273,6 +317,87 @@ mod tests {
         let plan = FftPlan::new(16);
         let mut buf = vec![Complex32::ZERO; 8];
         plan.forward(&mut buf);
+    }
+
+    /// The transform as it ran before the first two stages went inline
+    /// and the permutation became a swap list, kept as the bit-identity
+    /// reference: a full `rev` table, then one dispatched butterfly call
+    /// per block in every stage.
+    fn frozen_transform(buf: &mut [Complex32], inverse: bool) {
+        let plan = FftPlan::new(buf.len());
+        let n = plan.size;
+        let bits = n.trailing_zeros();
+        let rev: Vec<u32> = (0..n as u32)
+            .map(|i| i.reverse_bits() >> (32 - bits.max(1)))
+            .collect();
+        for (i, &j) in rev.iter().enumerate() {
+            if j as usize > i {
+                buf.swap(i, j as usize);
+            }
+        }
+        let mut len = 2;
+        let mut toff = 0;
+        while len <= n {
+            let half = len / 2;
+            let tw = &plan.stage_twiddles[toff..toff + half];
+            for block in buf.chunks_exact_mut(len) {
+                let (a, b) = block.split_at_mut(half);
+                crate::simd::butterfly(a, b, tw, inverse);
+            }
+            toff += half;
+            len <<= 1;
+        }
+        if inverse {
+            let k = 1.0 / n as f32;
+            for v in buf.iter_mut() {
+                *v = v.scale(k);
+            }
+        }
+    }
+
+    /// Bits with every NaN mapped to one pattern: NaN payloads are outside
+    /// the kernels' contract (see `tests/simd_parity.rs`).
+    fn canon(x: &[Complex32]) -> Vec<(u32, u32)> {
+        let c = |v: f32| if v.is_nan() { 0x7FC0_0000 } else { v.to_bits() };
+        x.iter().map(|z| (c(z.re), c(z.im))).collect()
+    }
+
+    #[test]
+    fn bit_identical_to_the_frozen_transform_on_every_backend() {
+        use crate::simd::{self, Backend};
+        let before = simd::active();
+        let backends = [Backend::Scalar, Backend::Avx2, Backend::Neon];
+        for b in backends.into_iter().filter(|&b| simd::supported(b)) {
+            assert!(simd::force(b));
+            for e in 0..=13 {
+                let n = 1usize << e;
+                let mut clean = rand_signal(n, 40 + e as u64);
+                for v in clean.iter_mut().step_by(5) {
+                    v.re = -0.0;
+                }
+                let mut poisoned = clean.clone();
+                let specials = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY];
+                for (k, &v) in specials.iter().enumerate() {
+                    let i = (k * 7 + 1) % n;
+                    poisoned[i] = Complex32::new(v, poisoned[i].im);
+                }
+                for x in [&clean, &poisoned] {
+                    for inverse in [false, true] {
+                        let mut want = x.clone();
+                        frozen_transform(&mut want, inverse);
+                        let mut got = x.clone();
+                        let plan = FftPlan::new(n);
+                        if inverse {
+                            plan.inverse(&mut got);
+                        } else {
+                            plan.forward(&mut got);
+                        }
+                        assert_eq!(canon(&got), canon(&want), "{b:?} n={n} inv={inverse}");
+                    }
+                }
+            }
+        }
+        simd::force(before);
     }
 
     #[test]

@@ -122,7 +122,8 @@ impl FftPlanCache {
 ///   fractional-sync search sums the carried up- and down-chirp windows
 ///   before one de-chirp and FFT per direction),
 /// - `fbuf` holds a folded length-`N` signal vector,
-/// - `facc` holds a signal-vector accumulation across antennas,
+/// - `fsel` holds a reorderable copy of a signal vector (the detector's
+///   per-window median selects in place on it),
 /// - `rot` memoizes CFO-rotator tables (private keys, so its contents
 ///   always match them).
 #[derive(Debug, Default)]
@@ -139,8 +140,8 @@ pub struct DspScratch {
     pub rot: RotatorMemo,
     /// Real working buffer (folded signal vector).
     pub fbuf: Vec<f32>,
-    /// Real accumulator (signal vector summed across antennas).
-    pub facc: Vec<f32>,
+    /// Real selection buffer (a copy of `fbuf` that a median may reorder).
+    pub fsel: Vec<f32>,
     pool: Vec<Vec<f32>>,
     pool_hits: u64,
     pool_misses: u64,

@@ -2,6 +2,12 @@
 //! decode pipeline: the de-chirp complex multiply, the radix-2 FFT
 //! butterfly pass, and the magnitude/peak scan.
 //!
+//! The butterfly kernel serves only the FFT's wide stages (`half ≥ 4`
+//! butterflies per block; a 2-point transform's one stage aside).
+//! [`crate::fft`] runs the two small stages inline with the same scalar
+//! formula, since a dispatched call there would do one or two scalar
+//! butterflies.
+//!
 //! # Dispatch-once rule
 //!
 //! The backend is chosen once, on first kernel call, and cached in an
@@ -187,7 +193,8 @@ pub fn cmul_assign(buf: &mut [Complex32], rhs: &[Complex32]) {
 /// One radix-2 butterfly pass over paired half-blocks: with
 /// `t = b[k] * w[k]` (conjugating `w` for the inverse transform),
 /// `a[k] ← a[k] + t` and `b[k] ← a[k] − t`. Operates on the common
-/// prefix of `a`, `b` and `tw`.
+/// prefix of `a`, `b` and `tw`. The FFT calls it from its third stage
+/// on (`half ≥ 4`).
 // tnb-lint: no_alloc
 pub fn butterfly(a: &mut [Complex32], b: &mut [Complex32], tw: &[Complex32], conj_tw: bool) {
     match active() {
@@ -289,11 +296,20 @@ fn butterfly_scalar(
 ) {
     for ((x, y), &w0) in a.iter_mut().zip(b.iter_mut()).zip(tw).skip(skip) {
         let w = if conj_tw { w0.conj() } else { w0 };
-        let t = *y * w;
-        let u = *x;
-        *x = u + t;
-        *y = u - t;
+        butterfly_one(x, y, w);
     }
+}
+
+/// One radix-2 butterfly in the scalar reference formula and operation
+/// order: `t = y·w`, `x ← x + t`, `y ← x − t`. The vector kernels match
+/// it lane by lane, and the FFT's inline small stages call it directly.
+// tnb-lint: no_alloc
+#[inline(always)]
+pub(crate) fn butterfly_one(x: &mut Complex32, y: &mut Complex32, w: Complex32) {
+    let t = *y * w;
+    let u = *x;
+    *x = u + t;
+    *y = u - t;
 }
 
 // tnb-lint: no_alloc
