@@ -17,7 +17,7 @@ use tnb_core::packet::{DecodedPacket, DetectedPacket};
 use tnb_core::receiver::{TnbConfig, TnbReceiver};
 use tnb_core::sigcalc::{snr_from_peak_db, SigCalc};
 use tnb_core::thrive::ThriveConfig;
-use tnb_core::{DecodeReport, PipelineMetrics};
+use tnb_core::{DecodeReport, PipelineMetrics, StageCounters};
 use tnb_dsp::{Complex32, DspScratch};
 use tnb_phy::decoder as phy_decoder;
 use tnb_phy::header::Header;
@@ -30,11 +30,6 @@ pub trait Scheme {
     fn name(&self) -> &'static str;
     /// Decodes the trace.
     fn decode(&self, antennas: &[&[Complex32]]) -> Vec<DecodedPacket>;
-
-    /// Convenience for single-antenna traces.
-    fn decode_single(&self, samples: &[Complex32]) -> Vec<DecodedPacket> {
-        self.decode(&[samples])
-    }
 
     /// Decodes the trace with up to `workers` threads while recording
     /// pipeline observability into `metrics`. TnB-family schemes run
@@ -216,9 +211,15 @@ pub(crate) fn drive_baseline<A: SymbolAssigner>(
     assert!(!antennas.is_empty());
     let mut scratch = DspScratch::new();
     let detector = Detector::new(params);
-    let detected = detector.detect_with_scratch(antennas[0], &mut scratch);
+    let detected = detector.detect(
+        antennas[0],
+        1,
+        &mut scratch,
+        &PipelineMetrics::disabled(),
+        &mut StageCounters::default(),
+    );
     let demod = detector.demodulator();
-    let mut sig = SigCalc::new(demod, antennas, &mut scratch);
+    let mut sig = SigCalc::new(demod, antennas, &mut scratch, None);
     let l = params.samples_per_symbol() as i64;
 
     // Provisional extents: headers + a typical 16-byte payload. Replaced
@@ -283,7 +284,7 @@ pub(crate) fn drive_baseline<A: SymbolAssigner>(
             continue;
         }
         let payload = if use_bec {
-            match bec::decode_payload_with_bec(&syms, &header, &extras, &params) {
+            match bec::decode_payload_with_bec(&syms, &header, &extras, &params, None, None) {
                 Ok(d) => {
                     rescued += d.stats.rescued_codewords;
                     Some(d.payload)

@@ -26,7 +26,7 @@ fn every_scheme_decodes_a_clean_packet() {
     let t = b.build();
     for kind in SchemeKind::ALL {
         let scheme = kind.build(p);
-        let decoded = scheme.decode_single(t.samples());
+        let decoded = scheme.decode(&[t.samples()]);
         assert_eq!(decoded.len(), 1, "{}", scheme.name());
         assert_eq!(decoded[0].payload, payload, "{}", scheme.name());
     }
@@ -60,7 +60,7 @@ fn collision_resolvers_beat_lora_phy_under_collision() {
     );
     let t = b.build();
 
-    let count = |kind: SchemeKind| kind.build(p).decode_single(t.samples()).len();
+    let count = |kind: SchemeKind| kind.build(p).decode(&[t.samples()]).len();
     let tnb = count(SchemeKind::Tnb);
     let cic = count(SchemeKind::Cic);
     let at = count(SchemeKind::AlignTrack);
@@ -86,16 +86,13 @@ fn bec_variants_do_no_worse() {
         );
     }
     let t = b.build();
-    let plain = SchemeKind::Cic.build(p).decode_single(t.samples()).len();
-    let plus = SchemeKind::CicBec.build(p).decode_single(t.samples()).len();
+    let plain = SchemeKind::Cic.build(p).decode(&[t.samples()]).len();
+    let plus = SchemeKind::CicBec.build(p).decode(&[t.samples()]).len();
     assert!(plus >= plain, "CIC+ {plus} < CIC {plain}");
-    let plain = SchemeKind::AlignTrack
-        .build(p)
-        .decode_single(t.samples())
-        .len();
+    let plain = SchemeKind::AlignTrack.build(p).decode(&[t.samples()]).len();
     let plus = SchemeKind::AlignTrackBec
         .build(p)
-        .decode_single(t.samples())
+        .decode(&[t.samples()])
         .len();
     assert!(plus >= plain, "AlignTrack*+ {plus} < AlignTrack* {plain}");
 }

@@ -6,7 +6,7 @@
 //! across blocks (the regime where the candidate product explodes).
 
 use tnb_bench::TablePrinter;
-use tnb_core::bec::{decode_header_with_bec, decode_payload_with_bec_limited};
+use tnb_core::bec::{decode_header_with_bec, decode_payload_with_bec};
 use tnb_phy::encoder::encode_packet_symbols;
 use tnb_phy::params::{CodingRate, LoRaParams, SpreadingFactor};
 
@@ -50,7 +50,7 @@ fn main() {
                     continue;
                 };
                 if let Ok(d) =
-                    decode_payload_with_bec_limited(&symbols[8..], &h, &extras, &params, Some(w))
+                    decode_payload_with_bec(&symbols[8..], &h, &extras, &params, Some(w), None)
                 {
                     ok += (d.payload == payload) as usize;
                 }

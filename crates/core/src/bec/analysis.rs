@@ -51,11 +51,13 @@ pub fn lemma4_error_probability(sf: usize) -> f64 {
 /// (paper §A.5): the failure mode is every row having errors in both or
 /// neither column, so that Ξ holds only the companion and BEC returns
 /// prematurely — probability `2^{−SF}` under the independence assumption.
+// tnb-lint: allow(TNB-DEAD01) -- the paper's §A.5 error-probability analysis, checked against simulation by its own test
 pub fn cr3_2col_error_probability(sf: usize) -> f64 {
     2f64.powi(-(sf as i32))
 }
 
 /// Monte-Carlo counterpart of [`cr3_2col_error_probability`].
+// tnb-lint: allow(TNB-DEAD01) -- the simulation the §A.5 analysis is checked against
 pub fn simulate_cr3_2col_error_probability(sf: usize, trials: usize, seed: u64) -> f64 {
     let mut state = seed | 1;
     let mut next = move || {

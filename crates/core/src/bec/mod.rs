@@ -19,6 +19,5 @@ pub mod analysis;
 
 pub use block::{decode_block, BlockDecode};
 pub use packet::{
-    decode_header_with_bec, decode_payload_with_bec, decode_payload_with_bec_budgeted,
-    decode_payload_with_bec_limited, w_limit, BecPacketDecode, BecStats,
+    decode_header_with_bec, decode_payload_with_bec, w_limit, BecPacketDecode, BecStats,
 };

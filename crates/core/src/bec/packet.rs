@@ -103,59 +103,16 @@ pub fn decode_header_with_bec(
 /// per-block candidate counts exceeds `W`, a deterministic
 /// pseudo-random subset is tried (the paper selects randomly; a seeded
 /// LCG keeps results reproducible).
+///
+/// `w_override` replaces the paper's [`w_limit`] (paper §6.9 notes that
+/// lowering W from 125 to 25 for CR 1 loses < 5 % of the decoded packets
+/// — the `ablation_w` binary reproduces this). `candidate_budget` caps the
+/// repair candidates per packet: once the blocks decoded so far have
+/// generated more than that many, the remaining blocks contribute only
+/// their default decode and `stats.budget_exhausted` is set. This bounds
+/// the work an adversarial symbol stream can trigger while leaving clean
+/// traces (whose candidate counts are tiny) bit-identical.
 pub fn decode_payload_with_bec(
-    payload_symbols: &[u16],
-    header: &Header,
-    header_extras: &[Vec<u8>],
-    params: &LoRaParams,
-) -> Result<BecPacketDecode, BecStats> {
-    decode_payload_with_bec_limited(payload_symbols, header, header_extras, params, None)
-}
-
-/// [`decode_payload_with_bec`] with an explicit `W` override (the paper
-/// §6.9 notes that lowering W from 125 to 25 for CR 1 loses < 5 % of the
-/// decoded packets — the `ablation_w` binary reproduces this).
-pub fn decode_payload_with_bec_limited(
-    payload_symbols: &[u16],
-    header: &Header,
-    header_extras: &[Vec<u8>],
-    params: &LoRaParams,
-    w_override: Option<usize>,
-) -> Result<BecPacketDecode, BecStats> {
-    decode_payload_with_bec_full(
-        payload_symbols,
-        header,
-        header_extras,
-        params,
-        w_override,
-        None,
-    )
-}
-
-/// [`decode_payload_with_bec`] with an explicit per-packet candidate
-/// budget: once the blocks decoded so far have generated more than
-/// `candidate_budget` repair candidates, the remaining blocks contribute
-/// only their default decode and `stats.budget_exhausted` is set. This
-/// bounds the work an adversarial symbol stream can trigger while leaving
-/// clean traces (whose candidate counts are tiny) bit-identical.
-pub fn decode_payload_with_bec_budgeted(
-    payload_symbols: &[u16],
-    header: &Header,
-    header_extras: &[Vec<u8>],
-    params: &LoRaParams,
-    candidate_budget: Option<usize>,
-) -> Result<BecPacketDecode, BecStats> {
-    decode_payload_with_bec_full(
-        payload_symbols,
-        header,
-        header_extras,
-        params,
-        None,
-        candidate_budget,
-    )
-}
-
-fn decode_payload_with_bec_full(
     payload_symbols: &[u16],
     header: &Header,
     header_extras: &[Vec<u8>],
@@ -310,7 +267,7 @@ mod tests {
     fn header_and_payload(symbols: &[u16], params: &LoRaParams) -> Option<Vec<u8>> {
         let (h, extras, _) = decode_header_with_bec(symbols, params)?;
         let rest = &symbols[LoRaParams::HEADER_SYMBOLS..];
-        decode_payload_with_bec(rest, &h, &extras, params)
+        decode_payload_with_bec(rest, &h, &extras, params, None, None)
             .ok()
             .map(|d| d.payload)
     }
@@ -385,11 +342,12 @@ mod tests {
         let (clean, p) = make(SpreadingFactor::SF8, CodingRate::CR4, &payload);
         let (h, extras, _) = decode_header_with_bec(&clean, &p).unwrap();
         let decode = |symbols: &[u16], budget| {
-            decode_payload_with_bec_budgeted(
+            decode_payload_with_bec(
                 &symbols[LoRaParams::HEADER_SYMBOLS..],
                 &h,
                 &extras,
                 &p,
+                None,
                 budget,
             )
         };
@@ -432,8 +390,15 @@ mod tests {
         let (mut symbols, p) = make(SpreadingFactor::SF8, CodingRate::CR4, &payload);
         corrupt_payload_symbols(&mut symbols, &[0, 5], &p);
         let (h, extras, _) = decode_header_with_bec(&symbols, &p).unwrap();
-        let d = decode_payload_with_bec(&symbols[LoRaParams::HEADER_SYMBOLS..], &h, &extras, &p)
-            .unwrap();
+        let d = decode_payload_with_bec(
+            &symbols[LoRaParams::HEADER_SYMBOLS..],
+            &h,
+            &extras,
+            &p,
+            None,
+            None,
+        )
+        .unwrap();
         assert!(d.stats.rescued_codewords > 0);
         assert!(d.stats.repaired_blocks >= 1);
         assert!(d.stats.crc_checks >= 1);
@@ -457,7 +422,7 @@ mod tests {
         // yields 5 candidates: the product blows past W = 125.
         corrupt_payload_symbols(&mut symbols, &[0, 5, 10, 15, 20], &p);
         let (h, extras, _) = decode_header_with_bec(&symbols, &p).unwrap();
-        let res = decode_payload_with_bec(&symbols[8..], &h, &extras, &p);
+        let res = decode_payload_with_bec(&symbols[8..], &h, &extras, &p, None, None);
         let stats = match res {
             Ok(d) => d.stats,
             Err(s) => s,

@@ -23,19 +23,9 @@ use tnb_metrics::{PipelineMetrics, Stage, StageCounters};
 use tnb_phy::demodulate::Demodulator;
 use tnb_phy::params::LoRaParams;
 
-/// Tunables for packet detection.
-#[derive(Debug, Clone, Copy)]
-pub struct DetectorConfig {
-    /// Minimum run of consecutive same-bin windows to accept a preamble.
-    /// The 8 upchirps guarantee 7 fully-contained windows.
-    pub min_run: usize,
-}
-
-impl Default for DetectorConfig {
-    fn default() -> Self {
-        DetectorConfig { min_run: 5 }
-    }
-}
+/// Minimum run of consecutive same-bin windows to accept a preamble.
+/// The 8 upchirps guarantee 7 fully-contained windows.
+const MIN_RUN: usize = 5;
 
 /// A peak must exceed this multiple of the window's median bin value.
 const PEAK_MEDIAN_FACTOR: f32 = 10.0;
@@ -64,21 +54,14 @@ struct PreambleRun {
 pub struct Detector {
     params: LoRaParams,
     demod: Demodulator,
-    cfg: DetectorConfig,
 }
 
 impl Detector {
-    /// Builds a detector with default configuration.
+    /// Builds a detector.
     pub fn new(params: LoRaParams) -> Self {
-        Self::with_config(params, DetectorConfig::default())
-    }
-
-    /// Builds a detector with a custom configuration.
-    pub fn with_config(params: LoRaParams, cfg: DetectorConfig) -> Self {
         Detector {
             demod: Demodulator::new(params),
             params,
-            cfg,
         }
     }
 
@@ -88,43 +71,16 @@ impl Detector {
     }
 
     /// Detects all packets in `samples`, returning their synchronized
-    /// start times and CFOs sorted by start time.
-    pub fn detect(&self, samples: &[Complex32]) -> Vec<DetectedPacket> {
-        let mut scratch = DspScratch::new();
-        self.detect_with_scratch(samples, &mut scratch)
-    }
-
-    /// [`Self::detect`] with a caller-owned [`DspScratch`], so repeated
-    /// detection passes reuse buffers and FFT plans.
-    pub fn detect_with_scratch(
-        &self,
-        samples: &[Complex32],
-        scratch: &mut DspScratch,
-    ) -> Vec<DetectedPacket> {
-        let metrics = PipelineMetrics::disabled();
-        let mut counters = StageCounters::default();
-        self.detect_observed(samples, scratch, &metrics, &mut counters)
-    }
-
-    /// [`Self::detect_with_scratch`] with observability: stage wall times
-    /// go to `metrics`, deterministic event counts to `counters`.
-    pub fn detect_observed(
-        &self,
-        samples: &[Complex32],
-        scratch: &mut DspScratch,
-        metrics: &PipelineMetrics,
-        counters: &mut StageCounters,
-    ) -> Vec<DetectedPacket> {
-        self.detect_parallel_observed(samples, 1, scratch, metrics, counters)
-    }
-
-    /// [`Self::detect_observed`] with preamble validation fanned out over
-    /// `workers` threads. The scan pass is a single cheap sweep and stays
-    /// on `scratch`; validation — five candidate alignments plus the
-    /// 36-point fractional search per run — dominates detection cost and
-    /// parallelizes per run. Results and counters are identical for any
-    /// worker count: validated candidates are deduplicated in scan order.
-    pub fn detect_parallel_observed(
+    /// start times and CFOs sorted by start time. Stage wall times go to
+    /// `metrics`, deterministic event counts to `counters`.
+    ///
+    /// The scan pass is a single cheap sweep and stays on `scratch`;
+    /// validation — five candidate alignments plus the 36-point
+    /// fractional search per run — dominates detection cost and is fanned
+    /// out over `workers` threads. Results and counters are identical for
+    /// any worker count: validated candidates are deduplicated in scan
+    /// order.
+    pub fn detect(
         &self,
         samples: &[Complex32],
         workers: usize,
@@ -212,12 +168,11 @@ impl Detector {
                 }
             }
             // Finalize runs that were not extended in this window.
-            let min_run = self.cfg.min_run;
             active.retain(|run| {
                 if run.last == w {
                     return true;
                 }
-                if run.len >= min_run {
+                if run.len >= MIN_RUN {
                     finished.push(PreambleRun {
                         first_window: run.first,
                         bin: run.bin,
@@ -239,7 +194,7 @@ impl Detector {
             }
         }
         for run in active {
-            if run.len >= self.cfg.min_run {
+            if run.len >= MIN_RUN {
                 finished.push(PreambleRun {
                     first_window: run.first,
                     bin: run.bin,

@@ -29,7 +29,7 @@ pub mod wideband;
 /// downstream crates reach it without a manifest dependency of their own.
 pub use tnb_metrics as metrics;
 
-pub use detect::{Detector, DetectorConfig};
+pub use detect::Detector;
 pub use packet::{same_transmission, DecodedPacket, DetectedPacket};
 pub use receiver::{DecodeOutcome, DecodeReport, DegradeReason, TnbConfig, TnbReceiver};
 pub use sic::SicConfig;

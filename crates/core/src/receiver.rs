@@ -10,8 +10,7 @@ use crate::parallel::{self, MAX_PAYLOAD_LEN};
 use crate::sic::{self, SicConfig};
 use crate::sigcalc::{estimate_snr_db, SigCalc};
 use crate::thrive::{
-    assign_checkpoint_scratch, Assignment, CheckpointScratch, CheckpointSymbol, HistoryModel,
-    ThriveConfig,
+    assign_checkpoint, Assignment, CheckpointScratch, CheckpointSymbol, HistoryModel, ThriveConfig,
 };
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use tnb_dsp::{Complex32, DspScratch};
@@ -414,9 +413,7 @@ impl TnbReceiver {
         let l = self.params.samples_per_symbol() as f64;
         let mut detected: Vec<DetectedPacket> = Vec::new();
         for ant in antennas {
-            for p in
-                detector.detect_parallel_observed(ant, self.workers, scratch, metrics, counters)
-            {
+            for p in detector.detect(ant, self.workers, scratch, metrics, counters) {
                 if merge_dedup(&mut detected, p, l) {
                     counters.detect_duplicates += 1;
                 }
@@ -462,7 +459,7 @@ impl TnbReceiver {
     ) -> (Vec<DecodedPacket>, DecodeReport) {
         let pool_before = scratch.pool_stats();
         let mut counters = StageCounters::default();
-        let mut sig = SigCalc::observed(demod, antennas, scratch, Some(metrics));
+        let mut sig = SigCalc::new(demod, antennas, scratch, Some(metrics));
 
         let mut tracked: Vec<Tracked> = detected
             .iter()
@@ -800,7 +797,7 @@ impl TnbReceiver {
                     let Some(slice) = res.get(..scan_len.min(res.len())) else {
                         continue;
                     };
-                    for p in detector.detect_observed(slice, scratch, metrics, counters) {
+                    for p in detector.detect(slice, 1, scratch, metrics, counters) {
                         if merge_dedup(&mut new_dets, p, l as f64) {
                             counters.detect_duplicates += 1;
                         }
@@ -826,7 +823,7 @@ impl TnbReceiver {
                 // with any header they already decoded, and re-detections
                 // start fresh.
                 let resid_refs: Vec<&[Complex32]> = residuals.iter().map(Vec::as_slice).collect();
-                let mut sig = SigCalc::observed(demod, &resid_refs, scratch, Some(metrics));
+                let mut sig = SigCalc::new(demod, &resid_refs, scratch, Some(metrics));
                 let mut temp: Vec<Tracked> = Vec::new();
                 // `Some(i)` maps a temp entry back to `tracked[i]`; `None`
                 // marks a fresh re-detection.
@@ -1002,7 +999,7 @@ impl TnbReceiver {
             // Note: checkpoint assignment pulls missing signal vectors
             // from SigCalc on demand, so this span *contains* nested
             // SigCalc spans; treat per-stage wall times as inclusive.
-            assign_checkpoint_scratch(
+            assign_checkpoint(
                 sig,
                 &dets,
                 &symbols[..slots.len()],
@@ -1184,11 +1181,12 @@ impl TnbReceiver {
         counters.bec_calls += 1;
         let t0 = metrics.now();
         let result = if self.cfg.use_bec {
-            let (result, stats) = match bec::decode_payload_with_bec_budgeted(
+            let (result, stats) = match bec::decode_payload_with_bec(
                 payload_syms,
                 &header,
                 &extras,
                 &self.params,
+                None,
                 Some(BEC_CANDIDATE_BUDGET),
             ) {
                 Ok(d) => {

@@ -45,21 +45,12 @@ impl Drop for SigCalc<'_> {
 }
 
 impl<'a> SigCalc<'a> {
-    /// Creates a calculator over `antennas` (at least one), borrowing the
-    /// caller's scratch for the lifetime of the calculator.
+    /// Creates a calculator over `antennas`, borrowing the caller's
+    /// scratch for the lifetime of the calculator. With a `metrics` sink,
+    /// vector computations are timed under [`Stage::SigCalc`], and
+    /// downstream stages holding only the calculator can reach the sink
+    /// via [`Self::metrics`].
     pub fn new(
-        demod: &'a Demodulator,
-        antennas: &'a [&'a [Complex32]],
-        scratch: &'a mut DspScratch,
-    ) -> Self {
-        Self::observed(demod, antennas, scratch, None)
-    }
-
-    /// [`Self::new`] with an optional observability sink: vector
-    /// computations are timed under [`Stage::SigCalc`], and downstream
-    /// stages holding only the calculator can reach the sink via
-    /// [`Self::metrics`].
-    pub fn observed(
         demod: &'a Demodulator,
         antennas: &'a [&'a [Complex32]],
         scratch: &'a mut DspScratch,
@@ -226,7 +217,7 @@ mod tests {
         let ant: Vec<Complex32> = vec![Complex32::ZERO; 100_000];
         let refs: Vec<&[Complex32]> = vec![&ant];
         let mut scratch = DspScratch::new();
-        let sc = SigCalc::new(&d, &refs, &mut scratch);
+        let sc = SigCalc::new(&d, &refs, &mut scratch, None);
         let pkt = DetectedPacket {
             start: 1000.0,
             cfo_cycles: 0.0,
@@ -245,7 +236,7 @@ mod tests {
         let ant: Vec<Complex32> = vec![Complex32::ZERO; 10_000];
         let refs: Vec<&[Complex32]> = vec![&ant];
         let mut scratch = DspScratch::new();
-        let mut sc = SigCalc::new(&d, &refs, &mut scratch);
+        let mut sc = SigCalc::new(&d, &refs, &mut scratch, None);
         let pkt = DetectedPacket {
             start: 9_000.0,
             cfo_cycles: 0.0,

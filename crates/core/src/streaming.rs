@@ -144,6 +144,8 @@ pub struct StreamingReceiver {
     buffer: Vec<Complex32>,
     /// Absolute index of `buffer[0]` in the stream.
     base: u64,
+    /// Set by [`Self::finish`]: the next push starts a fresh stream at 0.
+    finished: bool,
     /// Already emitted packets, for deduplication in the overlap region.
     owned: Owned,
     /// Cumulative observability across all batch decodes of the stream.
@@ -167,6 +169,7 @@ impl StreamingReceiver {
             overlap: Overlap::new(params, &cfg),
             buffer: Vec::new(),
             base: 0,
+            finished: false,
             owned: Owned::new(params),
             metrics: if cfg.observe {
                 PipelineMetrics::enabled()
@@ -191,13 +194,17 @@ impl StreamingReceiver {
         self.metrics.snapshot()
     }
 
-    /// Absolute index of the next sample [`Self::push`] will consume.
+    /// Absolute index of the next sample [`Self::push`] will consume;
+    /// after [`Self::finish`], the finished stream's length.
     pub fn position(&self) -> u64 {
         self.base + self.buffer.len() as u64
     }
 
     /// Feeds a chunk of samples; returns any packets completed by it.
     pub fn push(&mut self, samples: &[Complex32]) -> Vec<DecodedPacket> {
+        if std::mem::take(&mut self.finished) {
+            self.base = 0;
+        }
         self.buffer.extend_from_slice(samples);
         if self.buffer.len() < self.overlap.window {
             return Vec::new();
@@ -215,16 +222,19 @@ impl StreamingReceiver {
     }
 
     /// Flushes the remaining buffer at end of stream and resets the
-    /// receiver for a fresh stream: the buffer, the emitted-packet
-    /// deduplication memory and the absolute position all restart at
-    /// zero, so a reused receiver never suppresses packets that happen to
-    /// land near a previous stream's offsets. Cumulative
-    /// [`Self::report`]/[`Self::metrics_snapshot`] are preserved.
+    /// receiver for a fresh stream: the buffer and the emitted-packet
+    /// deduplication memory are cleared, so a reused receiver never
+    /// suppresses packets that happen to land near a previous stream's
+    /// offsets. [`Self::position`] keeps reading the finished stream's
+    /// length until the next [`Self::push`] restarts it at zero.
+    /// Cumulative [`Self::report`]/[`Self::metrics_snapshot`] are
+    /// preserved.
     pub fn finish(&mut self) -> Vec<DecodedPacket> {
         let out = self.process();
+        self.base = self.position();
         self.buffer.clear();
         self.owned.clear();
-        self.base = 0;
+        self.finished = true;
         out
     }
 

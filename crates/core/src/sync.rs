@@ -50,20 +50,11 @@ pub struct QValue {
 /// `None` if the preamble does not produce consistent peaks.
 ///
 /// `start` is the coarse start estimate in samples, `cfo_int` the coarse
-/// CFO in (integer) bins.
-pub fn fractional_sync(
-    samples: &[Complex32],
-    demod: &Demodulator,
-    start: i64,
-    cfo_int: f64,
-) -> Option<DetectedPacket> {
-    let mut scratch = DspScratch::new();
-    fractional_sync_scratch(samples, demod, start, cfo_int, &mut scratch)
-}
-
-/// [`fractional_sync_scratch`] with observability: counts the attempt,
-/// its FFTs and its acceptance in `counters` and times the whole 36-point
-/// search under [`Stage::Sync`].
+/// CFO in (integer) bins. Counts the attempt, its FFTs and its acceptance
+/// in `counters` and times the whole 36-point search under
+/// [`Stage::Sync`]. Every buffer lives in the caller-owned `scratch`, so
+/// the search performs no per-evaluation allocations.
+// tnb-lint: no_alloc_root -- the 36-point (δt, δf) search runs per detected packet; every buffer lives in the scratch
 pub fn fractional_sync_observed(
     samples: &[Complex32],
     demod: &Demodulator,
@@ -90,18 +81,23 @@ pub fn fractional_sync_observed(
     out
 }
 
-/// [`fractional_sync`] with a caller-owned [`DspScratch`], so the 36-point
-/// search performs no per-evaluation allocations. Results are bit-identical
-/// to the allocating path.
-// tnb-lint: no_alloc_root -- the 36-point (δt, δf) search runs per detected packet; every buffer lives in the scratch
-pub fn fractional_sync_scratch(
+/// One-shot [`fractional_sync_observed`] with a fresh scratch and no
+/// observability sinks.
+pub fn fractional_sync(
     samples: &[Complex32],
     demod: &Demodulator,
     start: i64,
     cfo_int: f64,
-    scratch: &mut DspScratch,
 ) -> Option<DetectedPacket> {
-    search(samples, demod, start, cfo_int, scratch, &mut 0)
+    fractional_sync_observed(
+        samples,
+        demod,
+        start,
+        cfo_int,
+        &mut DspScratch::new(),
+        &PipelineMetrics::disabled(),
+        &mut StageCounters::default(),
+    )
 }
 
 /// The 36-point search, adding the FFTs it runs to `ffts`.

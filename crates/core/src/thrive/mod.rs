@@ -206,7 +206,7 @@ pub struct ThriveTally {
     pub budget_exhausted: u64,
 }
 
-/// Reusable working storage for [`assign_checkpoint_scratch`]: per-slot
+/// Reusable working storage for [`assign_checkpoint`]: per-slot
 /// vector copies, candidate lists and greedy-assignment bookkeeping keep
 /// their capacity across checking points, so the steady-state checkpoint
 /// loop does not reallocate them.
@@ -238,25 +238,12 @@ impl CheckpointScratch {
 /// (paper §5.3.4).
 ///
 /// `packets[i]` must be the detection record the `CheckpointSymbol.packet`
-/// indices refer to. Returns one assignment per symbol (symbols whose
-/// signal vector is unavailable are skipped).
-pub fn assign_checkpoint(
-    sigcalc: &mut SigCalc<'_>,
-    packets: &[DetectedPacket],
-    symbols: &[CheckpointSymbol],
-    cfg: &ThriveConfig,
-) -> Vec<Assignment> {
-    let mut ws = CheckpointScratch::default();
-    let mut out = Vec::new();
-    assign_checkpoint_scratch(sigcalc, packets, symbols, cfg, &mut ws, &mut out);
-    out
-}
-
-/// [`assign_checkpoint`] with reusable working storage: assignments are
-/// written to `out` (cleared first), and all intermediates live in `ws`.
-/// Produces exactly the assignments of the allocating path.
+/// indices refer to. Writes one assignment per symbol to `out` (cleared
+/// first; symbols whose signal vector is unavailable are skipped). All
+/// intermediates live in `ws`, which keeps its capacity across checking
+/// points.
 // tnb-lint: no_alloc_root -- per-checkpoint assignment runs in the symbol loop; intermediates live in CheckpointScratch
-pub fn assign_checkpoint_scratch(
+pub fn assign_checkpoint(
     sigcalc: &mut SigCalc<'_>,
     packets: &[DetectedPacket],
     symbols: &[CheckpointSymbol],
@@ -275,7 +262,7 @@ pub fn assign_checkpoint_scratch(
     );
 }
 
-/// [`assign_checkpoint_scratch`] under a sibling-cost evaluation budget
+/// [`assign_checkpoint`] under a sibling-cost evaluation budget
 /// of `eval_budget` (see [`CHECKPOINT_EVAL_BUDGET`]).
 fn assign_within_budget(
     sigcalc: &mut SigCalc<'_>,
@@ -654,7 +641,7 @@ mod tests {
         let demod = Demodulator::new(p);
         let ants = [trace.samples()];
         let mut scratch = DspScratch::new();
-        let mut sig = SigCalc::new(&demod, &ants, &mut scratch);
+        let mut sig = SigCalc::new(&demod, &ants, &mut scratch, None);
         let run = |sig: &mut SigCalc<'_>, budget: u64| {
             let mut ws = CheckpointScratch::default();
             let mut out = Vec::new();

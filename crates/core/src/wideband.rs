@@ -45,6 +45,10 @@ pub struct WidebandReceiver {
     chan: Channelizer,
     rxs: Vec<StreamingReceiver>,
     bufs: Vec<Vec<Complex32>>,
+    /// Wideband input samples of the current stream.
+    samples: u64,
+    /// Set by [`Self::finish`]: the next push starts a fresh stream.
+    finished: bool,
 }
 
 impl WidebandReceiver {
@@ -64,7 +68,13 @@ impl WidebandReceiver {
             .map(|_| StreamingReceiver::with_config(params, cfg.streaming))
             .collect();
         let bufs = vec![Vec::new(); m];
-        WidebandReceiver { chan, rxs, bufs }
+        WidebandReceiver {
+            chan,
+            rxs,
+            bufs,
+            samples: 0,
+            finished: false,
+        }
     }
 
     /// Number of channels `M`.
@@ -78,10 +88,10 @@ impl WidebandReceiver {
         self.chan.channel_offset(c)
     }
 
-    /// Absolute per-channel sample position of channel `c`'s decoder
-    /// (zero for out-of-range `c`).
-    pub fn position(&self, c: usize) -> u64 {
-        self.rxs.get(c).map_or(0, StreamingReceiver::position)
+    /// Wideband input samples pushed in the current stream; after
+    /// [`Self::finish`], the finished stream's length.
+    pub fn position(&self) -> u64 {
+        self.samples
     }
 
     /// Per-channel cumulative decode reports (index = channel).
@@ -93,6 +103,10 @@ impl WidebandReceiver {
     /// chunk completed, tagged with their channel, in ascending channel
     /// order.
     pub fn push(&mut self, samples: &[Complex32]) -> Vec<ChannelPacket> {
+        if std::mem::take(&mut self.finished) {
+            self.samples = 0;
+        }
+        self.samples += samples.len() as u64;
         for b in &mut self.bufs {
             b.clear();
         }
@@ -117,6 +131,7 @@ impl WidebandReceiver {
             }
         }
         self.chan.reset();
+        self.finished = true;
         out
     }
 }
@@ -191,12 +206,12 @@ impl StreamDecoder {
         }
     }
 
-    /// Samples consumed so far, on the stream's own input clock
-    /// (wideband streams consume `M` input samples per channel sample).
+    /// Samples pushed so far, on the stream's own input clock; after
+    /// [`Self::finish`], the finished stream's length.
     pub fn position(&self) -> u64 {
         match self {
             StreamDecoder::Narrow(rx) => rx.position(),
-            StreamDecoder::Wide(rx) => rx.position(0) * rx.channels() as u64,
+            StreamDecoder::Wide(rx) => rx.position(),
         }
     }
 }
@@ -230,12 +245,15 @@ mod tests {
     }
 
     #[test]
-    fn position_advances_at_the_decimated_rate() {
+    fn position_counts_wideband_input_samples_until_the_next_stream() {
         let mut rx = WidebandReceiver::new(params());
         rx.push(&[Complex32::ZERO; 800]);
-        for c in 0..rx.channels() {
-            assert_eq!(rx.position(c), 100);
-        }
+        rx.push(&[Complex32::ZERO; 5]);
+        assert_eq!(rx.position(), 805, "not a multiple of the 8 channels");
+        rx.finish();
+        assert_eq!(rx.position(), 805, "finish keeps the stream's length");
+        rx.push(&[Complex32::ZERO; 16]);
+        assert_eq!(rx.position(), 16, "the next push starts a fresh stream");
     }
 
     #[test]

@@ -6,6 +6,7 @@
 use tnb_channel::impairments::{apply_cfo, fractional_delay};
 use tnb_core::detect::Detector;
 use tnb_core::sic;
+use tnb_core::{PipelineMetrics, StageCounters};
 use tnb_dsp::{Complex32, DspScratch};
 use tnb_phy::demodulate::Demodulator;
 use tnb_phy::encoder::encode_packet_symbols;
@@ -144,7 +145,13 @@ fn self_subtraction_with_detector_estimates_is_below_floor() {
     let before = power(&trace);
 
     let mut scratch = DspScratch::new();
-    let detected = Detector::new(p).detect_with_scratch(&trace, &mut scratch);
+    let detected = Detector::new(p).detect(
+        &trace,
+        1,
+        &mut scratch,
+        &PipelineMetrics::disabled(),
+        &mut StageCounters::default(),
+    );
     assert_eq!(detected.len(), 1, "clean packet must be detected");
     let det = detected[0];
 

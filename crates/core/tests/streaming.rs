@@ -125,6 +125,7 @@ fn receiver_reusable_after_finish() {
     let (trace, payloads) = build_trace(35, 2);
     let p = LoRaParams::new(SpreadingFactor::SF8, CodingRate::CR4);
     let mut rx = StreamingReceiver::new(p);
+    let mut starts: Vec<Vec<f64>> = Vec::new();
     for round in 0..2 {
         let mut got = Vec::new();
         for c in trace.samples().chunks(80_000) {
@@ -138,8 +139,16 @@ fn receiver_reusable_after_finish() {
                 "round {round} missing {pay:?}"
             );
         }
-        assert_eq!(rx.position(), 0, "round {round}: position must reset");
+        assert_eq!(
+            rx.position(),
+            trace.samples().len() as u64,
+            "round {round}: position must read the finished stream's length"
+        );
+        starts.push(got.iter().map(|d| d.start).collect());
     }
+    // The second stream restarts at sample 0, so its packets land at the
+    // first stream's offsets.
+    assert_eq!(starts[0], starts[1]);
     // The cumulative report spans both streams (overlapping windows may
     // decode a packet more than once upstream of emission dedup).
     assert!(rx.report().decoded >= 4, "{:?}", rx.report());

@@ -5,7 +5,8 @@ use tnb_channel::trace::{PacketConfig, TraceBuilder};
 use tnb_core::packet::DetectedPacket;
 use tnb_core::sigcalc::SigCalc;
 use tnb_core::thrive::{
-    assign_checkpoint, shift_bins, CheckpointSymbol, HistoryModel, ThriveConfig,
+    assign_checkpoint, shift_bins, Assignment, CheckpointScratch, CheckpointSymbol, HistoryModel,
+    ThriveConfig,
 };
 use tnb_dsp::DspScratch;
 use tnb_phy::demodulate::Demodulator;
@@ -14,6 +15,25 @@ use tnb_phy::{CodingRate, LoRaParams, SpreadingFactor};
 
 fn params() -> LoRaParams {
     LoRaParams::new(SpreadingFactor::SF8, CodingRate::CR4)
+}
+
+/// One checking point on fresh working storage.
+fn assign(
+    sig: &mut SigCalc<'_>,
+    packets: &[DetectedPacket],
+    symbols: &[CheckpointSymbol],
+    cfg: &ThriveConfig,
+) -> Vec<Assignment> {
+    let mut out = Vec::new();
+    assign_checkpoint(
+        sig,
+        packets,
+        symbols,
+        cfg,
+        &mut CheckpointScratch::default(),
+        &mut out,
+    );
+    out
 }
 
 /// Builds a two-packet collision and returns (trace, detections, true
@@ -77,7 +97,7 @@ fn sibling_location_relation_holds() {
     let demod = Demodulator::new(p);
     let ants: Vec<&[tnb_dsp::Complex32]> = vec![trace.samples()];
     let mut scratch = DspScratch::new();
-    let mut sig = SigCalc::new(&demod, &ants, &mut scratch);
+    let mut sig = SigCalc::new(&demod, &ants, &mut scratch, None);
 
     // Packet 2's data symbol 0 overlaps packet 1's data symbols 15/16.
     let v2 = sig.symbol_vector(1, &dets[1], 0).unwrap().clone();
@@ -115,7 +135,7 @@ fn checkpoint_assigns_true_symbols_in_collision() {
     let demod = Demodulator::new(p);
     let ants: Vec<&[tnb_dsp::Complex32]> = vec![trace.samples()];
     let mut scratch = DspScratch::new();
-    let mut sig = SigCalc::new(&demod, &ants, &mut scratch);
+    let mut sig = SigCalc::new(&demod, &ants, &mut scratch, None);
     let cfg = ThriveConfig::default();
 
     // Checkpoint where packet 1 is at symbol 20 and packet 2 at symbol 4.
@@ -133,7 +153,7 @@ fn checkpoint_assigns_true_symbols_in_collision() {
             bounds: (f32::MAX, 0.0),
         },
     ];
-    let assignments = assign_checkpoint(&mut sig, &dets, &symbols, &cfg);
+    let assignments = assign(&mut sig, &dets, &symbols, &cfg);
     assert_eq!(assignments.len(), 2);
     for a in &assignments {
         let (pkt, sym) = match a.slot {
@@ -156,7 +176,7 @@ fn masking_excludes_known_peaks() {
     let demod = Demodulator::new(p);
     let ants: Vec<&[tnb_dsp::Complex32]> = vec![trace.samples()];
     let mut scratch = DspScratch::new();
-    let mut sig = SigCalc::new(&demod, &ants, &mut scratch);
+    let mut sig = SigCalc::new(&demod, &ants, &mut scratch, None);
     let cfg = ThriveConfig::default();
 
     // Assign packet 2's symbol 4 alone, masking packet 1's (stronger)
@@ -176,7 +196,7 @@ fn masking_excludes_known_peaks() {
         masked_bins: masked,
         bounds: (f32::MAX, 0.0),
     }];
-    let assignments = assign_checkpoint(&mut sig, &dets, &symbols, &cfg);
+    let assignments = assign(&mut sig, &dets, &symbols, &cfg);
     assert_eq!(assignments.len(), 1);
     assert_eq!(assignments[0].bin, truth[1][4]);
 }
@@ -208,7 +228,7 @@ fn empty_checkpoint_is_empty() {
     let samples = vec![tnb_dsp::Complex32::ZERO; 10 * p.samples_per_symbol()];
     let ants: Vec<&[tnb_dsp::Complex32]> = vec![&samples];
     let mut scratch = DspScratch::new();
-    let mut sig = SigCalc::new(&demod, &ants, &mut scratch);
-    let out = assign_checkpoint(&mut sig, &[], &[], &ThriveConfig::default());
+    let mut sig = SigCalc::new(&demod, &ants, &mut scratch, None);
+    let out = assign(&mut sig, &[], &[], &ThriveConfig::default());
     assert!(out.is_empty());
 }

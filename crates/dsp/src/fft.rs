@@ -178,20 +178,6 @@ pub fn fft(input: &[Complex32]) -> Vec<Complex32> {
     buf
 }
 
-/// Convenience one-shot inverse FFT (allocates a plan; prefer [`FftPlan`] in
-/// loops).
-pub fn ifft(input: &[Complex32]) -> Vec<Complex32> {
-    let mut buf = input.to_vec();
-    FftPlan::new(input.len()).inverse(&mut buf);
-    buf
-}
-
-/// Squared-magnitude spectrum of `buf`: `|X[k]|²` for each bin. This is the
-/// paper's signal-vector form `Y = |FFT(γ)| ⊙ |FFT(γ)|`.
-pub fn power_spectrum(buf: &[Complex32]) -> Vec<f32> {
-    buf.iter().map(|z| z.norm_sqr()).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -241,7 +227,8 @@ mod tests {
     fn inverse_roundtrip() {
         for &n in &[2usize, 16, 1024, 2048] {
             let x = rand_signal(n, 7 + n as u64);
-            let y = ifft(&fft(&x));
+            let mut y = fft(&x);
+            FftPlan::new(n).inverse(&mut y);
             for (a, b) in x.iter().zip(&y) {
                 assert!((*a - *b).abs() < 1e-4, "n={n}");
             }
@@ -268,7 +255,7 @@ mod tests {
             })
             .collect();
         let y = fft(&x);
-        let p = power_spectrum(&y);
+        let p: Vec<f32> = y.iter().map(|z| z.norm_sqr()).collect();
         let max_bin = p
             .iter()
             .enumerate()

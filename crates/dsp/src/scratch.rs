@@ -179,11 +179,6 @@ impl DspScratch {
         }
     }
 
-    /// Number of vectors currently available in the recycling pool.
-    pub fn pooled(&self) -> usize {
-        self.pool.len()
-    }
-
     /// Cumulative `(hits, misses)` of [`take_f32`](Self::take_f32) over
     /// this scratch's lifetime: a hit reused a pooled allocation, a miss
     /// allocated. Observability reads the delta around a decode to report
@@ -236,13 +231,13 @@ mod tests {
         assert_eq!(v.len(), 64);
         let ptr = v.as_ptr();
         s.recycle_f32(v);
-        assert_eq!(s.pooled(), 1);
+        assert_eq!(s.pool.len(), 1);
         // Same (or smaller) length reuses the same allocation.
         let v2 = s.take_f32(32);
         assert_eq!(v2.as_ptr(), ptr);
         assert_eq!(v2.len(), 32);
         assert!(v2.iter().all(|&x| x == 0.0));
-        assert_eq!(s.pooled(), 0);
+        assert_eq!(s.pool.len(), 0);
     }
 
     #[test]
@@ -251,10 +246,10 @@ mod tests {
         for _ in 0..(POOL_CAP + 10) {
             s.recycle_f32(vec![0.0; 8]);
         }
-        assert_eq!(s.pooled(), POOL_CAP);
+        assert_eq!(s.pool.len(), POOL_CAP);
         // Zero-capacity vectors are not worth pooling.
-        let before = s.pooled();
+        let before = s.pool.len();
         s.recycle_f32(Vec::new());
-        assert_eq!(s.pooled(), before);
+        assert_eq!(s.pool.len(), before);
     }
 }

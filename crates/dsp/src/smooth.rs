@@ -3,7 +3,7 @@
 //! Thrive fits a curve to the peak-height history of each packet to predict
 //! the next peak's height (paper §5.3.3, Fig. 6). The paper uses MATLAB's
 //! `smoothdata`, whose default method is a centred moving mean; we provide
-//! that plus a Gaussian-weighted variant, and the helpers Thrive needs:
+//! that, and the helpers Thrive needs:
 //! evaluating the fitted curve at a given index and the median absolute
 //! deviation between data and fit.
 
@@ -34,56 +34,6 @@ pub fn moving_mean(data: &[f32], window: usize) -> Vec<f32> {
         let hi = (i + half_right + 1).min(n);
         let sum = prefix[hi] - prefix[lo];
         out.push((sum / (hi - lo) as f64) as f32);
-    }
-    out
-}
-
-/// Centred moving median with window length `window` (edge-clamped).
-pub fn moving_median(data: &[f32], window: usize) -> Vec<f32> {
-    let n = data.len();
-    if n == 0 {
-        return Vec::new();
-    }
-    let w = window.max(1);
-    let half_left = (w - 1) / 2;
-    let half_right = w / 2;
-    let mut out = Vec::with_capacity(n);
-    let mut scratch = Vec::with_capacity(w);
-    for i in 0..n {
-        let lo = i.saturating_sub(half_left);
-        let hi = (i + half_right + 1).min(n);
-        scratch.clear();
-        scratch.extend_from_slice(&data[lo..hi]);
-        out.push(crate::stats::median_mut(&mut scratch));
-    }
-    out
-}
-
-/// Gaussian-weighted smoothing (σ = window/5, matching `smoothdata`'s
-/// `'gaussian'` method), edge-renormalised.
-pub fn gaussian_smooth(data: &[f32], window: usize) -> Vec<f32> {
-    let n = data.len();
-    if n == 0 {
-        return Vec::new();
-    }
-    let w = window.max(1);
-    let sigma = w as f64 / 5.0;
-    let half = (w / 2) as isize;
-    let weights: Vec<f64> = (-half..=half)
-        .map(|k| (-0.5 * (k as f64 / sigma.max(1e-9)).powi(2)).exp())
-        .collect();
-    let mut out = Vec::with_capacity(n);
-    for i in 0..n as isize {
-        let mut acc = 0.0f64;
-        let mut wsum = 0.0f64;
-        for (j, &wt) in weights.iter().enumerate() {
-            let idx = i + (j as isize - half);
-            if idx >= 0 && (idx as usize) < n {
-                acc += wt * data[idx as usize] as f64;
-                wsum += wt;
-            }
-        }
-        out.push((acc / wsum) as f32);
     }
     out
 }
@@ -172,32 +122,6 @@ mod tests {
     #[test]
     fn moving_mean_empty() {
         assert!(moving_mean(&[], 3).is_empty());
-    }
-
-    #[test]
-    fn moving_median_rejects_outlier() {
-        let d = [1.0, 1.0, 100.0, 1.0, 1.0];
-        let m = moving_median(&d, 3);
-        assert_eq!(m[2], 1.0);
-    }
-
-    #[test]
-    fn gaussian_smooth_constant_preserved() {
-        let d = [2.0; 8];
-        for v in gaussian_smooth(&d, 5) {
-            assert!((v - 2.0).abs() < 1e-5);
-        }
-    }
-
-    #[test]
-    fn gaussian_smooth_reduces_variance() {
-        let d: Vec<f32> = (0..50)
-            .map(|i| if i % 2 == 0 { 1.0 } else { -1.0 })
-            .collect();
-        let s = gaussian_smooth(&d, 7);
-        let var_in: f32 = d.iter().map(|v| v * v).sum::<f32>() / d.len() as f32;
-        let var_out: f32 = s.iter().map(|v| v * v).sum::<f32>() / s.len() as f32;
-        assert!(var_out < var_in * 0.5);
     }
 
     #[test]

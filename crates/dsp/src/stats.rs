@@ -55,23 +55,6 @@ pub fn percentile(data: &[f32], p: f32) -> f32 {
     }
 }
 
-/// Empirical CDF evaluated at each of `points`: fraction of `data` ≤ point.
-pub fn ecdf_at(data: &[f32], points: &[f32]) -> Vec<f32> {
-    let mut sorted = data.to_vec();
-    sorted.sort_by(|a, b| a.total_cmp(b));
-    points
-        .iter()
-        .map(|&p| {
-            if sorted.is_empty() {
-                0.0
-            } else {
-                let count = sorted.partition_point(|&v| v <= p);
-                count as f32 / sorted.len() as f32
-            }
-        })
-        .collect()
-}
-
 /// Converts a linear power ratio to decibels. Non-positive input maps to
 /// `-inf` dB.
 pub fn to_db(linear: f32) -> f32 {
@@ -118,13 +101,6 @@ mod tests {
         assert_eq!(percentile(&d, 50.0), 30.0);
         assert!((percentile(&d, 25.0) - 20.0).abs() < 1e-5);
         assert!((percentile(&d, 62.5) - 35.0).abs() < 1e-5);
-    }
-
-    #[test]
-    fn ecdf_fractions() {
-        let d = [1.0, 2.0, 3.0, 4.0];
-        let c = ecdf_at(&d, &[0.5, 1.0, 2.5, 4.0, 9.0]);
-        assert_eq!(c, vec![0.0, 0.25, 0.5, 1.0, 1.0]);
     }
 
     #[test]

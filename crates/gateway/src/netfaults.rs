@@ -166,13 +166,6 @@ impl NetFaultPlan {
             ),
         ]
     }
-
-    /// Whether the plan contains a destructive (one-shot) injector.
-    pub fn is_destructive(&self) -> bool {
-        self.faults
-            .iter()
-            .any(|f| matches!(f, NetFault::DisconnectAt { .. } | NetFault::BitFlip { .. }))
-    }
 }
 
 /// Live counters of one proxy instance.
@@ -555,9 +548,7 @@ mod tests {
         // Different seeds move the offsets (spot-check the disconnect).
         let c = NetFaultPlan::matrix(43);
         assert_ne!(a[4].faults, c[4].faults);
-        assert!(a[0].faults.is_empty() && !a[0].is_destructive());
-        assert!(a[4].is_destructive() && a[5].is_destructive());
-        assert!(!a[1].is_destructive() && !a[3].is_destructive());
+        assert!(a[0].faults.is_empty());
         assert!(a.iter().all(|p| p.recoverable));
     }
 

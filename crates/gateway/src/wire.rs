@@ -220,11 +220,6 @@ impl Frame {
         Frame::control(FrameKind::Ping, 0, nonce)
     }
 
-    /// A PONG keepalive reply echoing `nonce`.
-    pub fn pong(nonce: u32) -> Frame {
-        Frame::control(FrameKind::Pong, 0, nonce)
-    }
-
     /// A HELLO session-open request.
     pub fn hello() -> Frame {
         Frame::control(FrameKind::Hello, 0, 0)
@@ -670,7 +665,7 @@ mod tests {
             Frame::stats(),
             Frame::shutdown(),
             Frame::ping(0xDEAD_BEEF),
-            Frame::pong(0xDEAD_BEEF),
+            Frame::control(FrameKind::Pong, 0, 0xDEAD_BEEF),
             Frame::hello(),
             Frame::resume(0x1234_5678, 0xCAFE_F00D),
             Frame::busy(),
@@ -681,7 +676,7 @@ mod tests {
             assert_eq!(decode_frame_exact(&bytes).unwrap(), f);
         }
         assert_eq!(Frame::ping(7).nonce(), 7);
-        assert_eq!(Frame::pong(7).nonce(), 7);
+        assert_eq!(Frame::control(FrameKind::Pong, 0, 7).nonce(), 7);
         assert_eq!(Frame::resume(42, 17).session_token(), 42);
         assert_eq!(Frame::resume(42, 17).delivered(), 17);
     }
@@ -691,7 +686,7 @@ mod tests {
         // Every new control verb refuses a payload…
         for f in [
             Frame::ping(1),
-            Frame::pong(1),
+            Frame::control(FrameKind::Pong, 0, 1),
             Frame::hello(),
             Frame::resume(9, 0),
             Frame::busy(),

@@ -54,6 +54,11 @@ fn run(workers: usize) {
         }
         let end = outcome.daemon_lines[s].last().expect("end line");
         assert!(end.contains("\"type\":\"end\""), "{end}");
+        let streamed = loopback::scene(&cfg, s as u32).len();
+        assert!(
+            end.contains(&format!("\"samples\":{streamed},")),
+            "end line must report the {streamed} streamed samples: {end}"
+        );
         assert!(end.contains("\"outcomes\":["), "{end}");
     }
     assert_eq!(outcome.stats.protocol_errors, 0, "{outcome:?}");

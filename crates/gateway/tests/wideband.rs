@@ -32,6 +32,12 @@ fn wideband_stream_uplinks_byte_identical_per_channel_lines() {
         outcome.daemon_lines, outcome.reference_lines,
         "wideband transcript diverged from the in-process reference"
     );
+    let end = daemon_lines.last().expect("end line");
+    let streamed = scene(&cfg, 0).len();
+    assert!(
+        end.contains(&format!("\"samples\":{streamed},")),
+        "end line must report the {streamed} streamed samples: {end}"
+    );
     // Every uplink line names its channel; only occupied channels appear.
     for line in &daemon_lines {
         if line.contains("\"type\":\"uplink\"") {

@@ -132,6 +132,7 @@ impl Demodulator {
 
     /// De-chirps with the *upchirp* instead (used to detect the preamble's
     /// downchirps) and folds. A downchirp at offset 0 peaks at bin 0.
+    // tnb-lint: allow(TNB-DEAD01) -- allocating reference that the tests check signal_vector_down_scratch against
     pub fn signal_vector_down(&self, window: &[Complex32], cfo_cycles: f64) -> Vec<f32> {
         self.fold(&self.complex_spectrum_down(window, cfo_cycles))
     }

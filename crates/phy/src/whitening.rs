@@ -10,9 +10,6 @@
 //! Whitening is an involution (`whiten(whiten(x)) == x`), so the same
 //! function serves both directions.
 
-/// Maximal-length period of the 9-bit PN9 LFSR.
-pub const PN9_PERIOD_BITS: usize = 511;
-
 /// Generates the `n`-th..`n+len` bytes of the PN9 whitening sequence.
 fn pn9_bytes(len: usize) -> Vec<u8> {
     let mut state: u16 = 0x1FF;
@@ -60,6 +57,9 @@ mod tests {
     fn sequence_is_deterministic() {
         assert_eq!(pn9_bytes(4), pn9_bytes(8)[..4].to_vec());
     }
+
+    /// Maximal-length period of the 9-bit PN9 LFSR.
+    const PN9_PERIOD_BITS: usize = 511;
 
     #[test]
     fn sequence_has_full_period() {

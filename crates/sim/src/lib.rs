@@ -16,6 +16,6 @@ pub mod traffic;
 
 pub use deployment::Deployment;
 pub use runner::{
-    apply_faults, build_experiment, run_scheme, run_scheme_limited, run_scheme_observed,
-    BuiltExperiment, ExperimentConfig, ExperimentResult,
+    build_experiment, run_scheme, run_scheme_limited, run_scheme_observed, BuiltExperiment,
+    ExperimentConfig, ExperimentResult,
 };

@@ -18,10 +18,7 @@ use std::io;
 use std::time::{Duration, Instant};
 
 use tnb_channel::trace::{PacketConfig, TraceBuilder};
-use tnb_core::{
-    DecodeReport, DecodedPacket, StreamingConfig, StreamingReceiver, WidebandConfig,
-    WidebandReceiver,
-};
+use tnb_core::{DecodedPacket, StreamDecoder, StreamingConfig, WidebandConfig};
 use tnb_dsp::channelizer::upconvert;
 use tnb_dsp::{ChannelizerConfig, Complex32};
 use tnb_gateway::client::DEFAULT_CHUNK;
@@ -207,58 +204,43 @@ pub fn scene(cfg: &LoopbackConfig, stream: u32) -> Vec<Complex32> {
 }
 
 /// The reference transcript of one stream: decodes the wire-quantized
-/// `samples` with a local [`StreamingReceiver`] (narrowband) or
-/// [`WidebandReceiver`] (wideband), pushed at exactly the daemon's chunk
-/// boundaries, rendering lines through the daemon's serializers.
-/// Returns `(lines, per_channel_uplinks)`.
+/// `samples` with a local [`StreamDecoder`] (the daemon's front-end
+/// switch), pushed at exactly the daemon's chunk boundaries, rendering
+/// lines through the daemon's serializers. Returns
+/// `(lines, per_channel_uplinks)`.
 pub fn reference_transcript(
     cfg: &LoopbackConfig,
     stream_id: u32,
     samples: &[Complex32],
 ) -> (Vec<String>, Vec<u64>) {
-    let quantized = quantize(samples);
-    let chunks = quantized.chunks(cfg.chunk.max(1));
     let wideband = !cfg.occupied.is_empty();
-    let channelizer = ChannelizerConfig::default();
+    let front = WidebandConfig {
+        channelizer: ChannelizerConfig::default(),
+        streaming: cfg.streaming(),
+    };
+    let mut rx = StreamDecoder::new(cfg.params, &front, wideband);
     let mut lines = Vec::new();
-    let mut per_channel = vec![0u64; if wideband { channelizer.channels } else { 1 }];
-    let mut uplinked = 0u64;
-    let mut render = |channel: Option<usize>, p: &DecodedPacket| {
-        let line = uplink::tagged_uplink_line(&cfg.params, stream_id, uplinked, channel, p);
-        lines.push(line);
-        per_channel[channel.unwrap_or(0)] += 1;
-        uplinked += 1;
-    };
-    let (position, report) = if wideband {
-        let mut rx = WidebandReceiver::with_config(
-            cfg.params,
-            WidebandConfig {
-                channelizer,
-                streaming: cfg.streaming(),
-            },
-        );
-        for c in chunks {
-            rx.push(c)
-                .iter()
-                .for_each(|cp| render(Some(cp.channel), &cp.packet));
-        }
-        rx.finish()
-            .iter()
-            .for_each(|cp| render(Some(cp.channel), &cp.packet));
-        let mut report = DecodeReport::default();
-        for r in rx.reports() {
-            report.absorb(&r);
-        }
-        (rx.position(0) * rx.channels() as u64, report)
+    let channels = if wideband {
+        front.channelizer.channels
     } else {
-        let mut rx = StreamingReceiver::with_config(cfg.params, cfg.streaming());
-        for c in chunks {
-            rx.push(c).iter().for_each(|p| render(None, p));
-        }
-        rx.finish().iter().for_each(|p| render(None, p));
-        (rx.position(), rx.report())
+        1
     };
-    lines.push(uplink::end_line(stream_id, position, uplinked, &report));
+    let mut per_channel = vec![0u64; channels];
+    let mut uplinked = 0u64;
+    let mut render = |tagged: Vec<(Option<usize>, DecodedPacket)>| {
+        for (channel, p) in &tagged {
+            let line = uplink::tagged_uplink_line(&cfg.params, stream_id, uplinked, *channel, p);
+            lines.push(line);
+            per_channel[channel.unwrap_or(0)] += 1;
+            uplinked += 1;
+        }
+    };
+    for c in quantize(samples).chunks(cfg.chunk.max(1)) {
+        render(rx.push(c));
+    }
+    render(rx.finish());
+    let end = uplink::end_line(stream_id, rx.position(), uplinked, &rx.report());
+    lines.push(end);
     (lines, per_channel)
 }
 

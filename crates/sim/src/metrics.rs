@@ -2,7 +2,7 @@
 //! per-node PRR, medium usage, collision levels and BEC-rescue counts.
 
 use crate::traffic::{parse_payload, ScheduledPacket};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use tnb_core::packet::DecodedPacket;
 
 /// Result of matching a scheme's output against the transmitted schedule.
@@ -47,21 +47,6 @@ pub fn match_decoded(decoded: &[DecodedPacket], schedule: &[ScheduledPacket]) ->
 /// Throughput in packets per second.
 pub fn throughput(correct: usize, duration_s: f64) -> f64 {
     correct as f64 / duration_s
-}
-
-/// Per-node packet reception ratio: `(node → (decoded, sent))`.
-pub fn per_node_prr(
-    correct: &[(u32, u32)],
-    schedule: &[ScheduledPacket],
-) -> HashMap<u32, (usize, usize)> {
-    let mut map: HashMap<u32, (usize, usize)> = HashMap::new();
-    for p in schedule {
-        map.entry(p.node).or_default().1 += 1;
-    }
-    for &(node, _) in correct {
-        map.entry(node).or_default().0 += 1;
-    }
-    map
 }
 
 /// Overall PRR across all transmissions.
@@ -164,9 +149,7 @@ mod tests {
     fn prr_accounting() {
         let schedule = vec![sched(1, 0, 0.0), sched(1, 1, 1.0), sched(2, 0, 2.0)];
         let m = match_decoded(&[decoded(1, 1)], &schedule);
-        let prr = per_node_prr(&m.correct, &schedule);
-        assert_eq!(prr[&1], (1, 2));
-        assert_eq!(prr[&2], (0, 1));
+        assert_eq!(m.correct, vec![(1, 1)]);
         assert_eq!(overall_prr(m.correct.len(), schedule.len()), 1.0 / 3.0);
     }
 

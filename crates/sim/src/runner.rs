@@ -9,7 +9,6 @@ use rand::{Rng, SeedableRng};
 use tnb_baselines::Scheme;
 use tnb_channel::fading::ChannelModel;
 use tnb_channel::trace::{PacketConfig, Trace, TraceBuilder};
-use tnb_channel::FaultPlan;
 use tnb_core::{DecodeReport, MetricsSnapshot, PipelineMetrics};
 use tnb_phy::{LoRaParams, Transmitter};
 
@@ -148,17 +147,6 @@ pub fn build_experiment(cfg: &ExperimentConfig) -> BuiltExperiment {
 /// Runs one scheme over a built experiment and scores it.
 pub fn run_scheme(scheme: &dyn Scheme, built: &BuiltExperiment) -> ExperimentResult {
     run_scheme_limited(scheme, built, usize::MAX)
-}
-
-/// Applies a [`FaultPlan`] to every antenna of a built experiment's
-/// trace, in place. Robustness experiments build once, inject a fault,
-/// and score the schemes against the same ground-truth schedule — the
-/// decode pipeline degrades per packet (see `DecodeReport::outcomes`)
-/// instead of panicking on the hostile samples.
-pub fn apply_faults(built: &mut BuiltExperiment, plan: &FaultPlan) {
-    for antenna in &mut built.trace.antennas {
-        *antenna = plan.apply(antenna);
-    }
 }
 
 /// Like [`run_scheme`] but exposes at most `max_antennas` antennas to the
@@ -320,10 +308,12 @@ mod tests {
         // Inject a mid-capture truncation + NaN burst and re-score: the
         // run must complete, account for every detected packet, and not
         // decode more than the clean trace did.
-        let plan = FaultPlan::new(11)
+        let plan = tnb_channel::FaultPlan::new(11)
             .with(tnb_channel::Fault::NanBurst { at: 0.3, len: 512 })
             .with(tnb_channel::Fault::Truncate { keep: 0.6 });
-        apply_faults(&mut built, &plan);
+        for antenna in &mut built.trace.antennas {
+            *antenna = plan.apply(antenna);
+        }
         let faulted = run_scheme_observed(SchemeKind::Tnb.build(cfg.params).as_ref(), &built, 2);
         let report = faulted.report.expect("TnB returns a report");
         assert_eq!(report.outcomes.len(), report.detected);

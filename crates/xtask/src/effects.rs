@@ -41,9 +41,9 @@ pub const REQUIRED_NO_ALLOC_ROOTS: [(&str, &str); 15] = [
     ("crates/phy/src/demodulate.rs", "fold_into"),
     ("crates/phy/src/demodulate.rs", "signal_vector_scratch"),
     ("crates/phy/src/demodulate.rs", "signal_vector_down_scratch"),
-    ("crates/core/src/sync.rs", "fractional_sync_scratch"),
+    ("crates/core/src/sync.rs", "fractional_sync_observed"),
     ("crates/core/src/sigcalc.rs", "symbol_vector"),
-    ("crates/core/src/thrive/mod.rs", "assign_checkpoint_scratch"),
+    ("crates/core/src/thrive/mod.rs", "assign_checkpoint"),
     ("crates/core/src/sic.rs", "rotate_cfo"),
     ("crates/core/src/sic.rs", "estimate_block_gains"),
     ("crates/core/src/sic.rs", "mean_gain_power"),

@@ -10,6 +10,7 @@
 //! snippet per rule.
 
 pub mod callgraph;
+pub mod dead;
 pub mod diagnostics;
 pub mod effects;
 pub mod layering;

@@ -59,7 +59,7 @@ pub const PANIC_FREE_CRATES: [&str; 7] = [
 ];
 
 /// One registry entry: (ID, group, summary).
-pub const RULES: [(&str, &str, &str); 19] = [
+pub const RULES: [(&str, &str, &str); 20] = [
     (
         "TNB-DET01",
         "determinism",
@@ -150,6 +150,11 @@ pub const RULES: [(&str, &str, &str); 19] = [
         "TNB-LOCK02",
         "locking",
         "blocking call (IO/recv/join/sleep) while a lock guard is live",
+    ),
+    (
+        "TNB-DEAD01",
+        "dead_code",
+        "`pub fn` in a library crate whose name occurs nowhere outside its own module's tests",
     ),
 ];
 

@@ -18,7 +18,7 @@ use crate::layering;
 use crate::model::{self, FileModel};
 use crate::rules::{analyze_file, FileKind, FileScope};
 use crate::source::SourceFile;
-use crate::{callgraph, effects, locks};
+use crate::{callgraph, dead, effects, locks};
 use std::path::{Path, PathBuf};
 
 /// Directories under the workspace root that are scanned.
@@ -26,6 +26,11 @@ const SCAN_ROOTS: [&str; 4] = ["crates", "src", "tests", "examples"];
 
 /// Path substrings that exclude a file from scanning.
 const EXCLUDES: [&str; 3] = ["compat/", "target/", "crates/xtask/tests/fixtures/"];
+
+/// Directories outside the workspace that are not linted but whose uses
+/// keep a library `pub fn` alive (TNB-DEAD01): the benchmark package
+/// compiles against the public API.
+const CALLER_ROOTS: [&str; 1] = ["perf_ledger"];
 
 /// One file to lint, already read into memory.
 pub struct LintInput {
@@ -46,6 +51,13 @@ struct Analyzed {
 /// interprocedural flow/lock analyses over the whole set. Returns
 /// sorted diagnostics.
 pub fn lint_files(inputs: &[LintInput]) -> Vec<Diagnostic> {
+    lint(inputs, None)
+}
+
+/// [`lint_files`], plus TNB-DEAD01 when `callers` is given: the inputs
+/// are then the whole workspace, and `callers` the out-of-workspace
+/// files whose uses count too.
+fn lint(inputs: &[LintInput], callers: Option<&[SourceFile]>) -> Vec<Diagnostic> {
     let analyzed = pass1(inputs);
     let mut diags: Vec<Diagnostic> = Vec::new();
     let mut models: Vec<FileModel> = Vec::with_capacity(analyzed.len());
@@ -59,6 +71,9 @@ pub fn lint_files(inputs: &[LintInput]) -> Vec<Diagnostic> {
     let fx = effects::propagate(&models, &srcs, &graph);
     effects::check(&models, &srcs, &graph, &fx, &mut diags);
     locks::check(&models, &srcs, &mut diags);
+    if let Some(callers) = callers {
+        dead::check(&models, &srcs, callers, &mut diags);
+    }
     diagnostics::sort(&mut diags);
     diags
 }
@@ -122,11 +137,12 @@ fn analyze_one(input: &LintInput) -> Analyzed {
 /// diagnostics (empty = clean tree).
 pub fn run_lint(root: &Path) -> std::io::Result<Vec<Diagnostic>> {
     let mut files = Vec::new();
-    for scan in SCAN_ROOTS {
+    for scan in SCAN_ROOTS.iter().chain(&CALLER_ROOTS) {
         collect_rs(&root.join(scan), &mut files)?;
     }
     files.sort();
     let mut inputs = Vec::new();
+    let mut callers = Vec::new();
     for path in &files {
         let rel = path
             .strip_prefix(root)
@@ -136,14 +152,22 @@ pub fn run_lint(root: &Path) -> std::io::Result<Vec<Diagnostic>> {
         if EXCLUDES.iter().any(|e| rel.contains(e)) {
             continue;
         }
+        let content = std::fs::read_to_string(path)?;
+        if CALLER_ROOTS
+            .iter()
+            .any(|c| rel.starts_with(&format!("{c}/")))
+        {
+            callers.push(SourceFile::parse(&content));
+            continue;
+        }
         let scope = classify(&rel);
         inputs.push(LintInput {
             rel_path: rel,
             scope,
-            content: std::fs::read_to_string(path)?,
+            content,
         });
     }
-    let mut diags = lint_files(&inputs);
+    let mut diags = lint(&inputs, Some(&callers));
     layering::check_workspace(root, &mut diags);
     diagnostics::sort(&mut diags);
     Ok(diags)

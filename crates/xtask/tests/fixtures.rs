@@ -6,7 +6,7 @@
 
 use std::path::{Path, PathBuf};
 use tnb_xtask::rules::{FileKind, FileScope};
-use tnb_xtask::{analyze_source, layering, run_lint};
+use tnb_xtask::{analyze_source, dead, layering, model, run_lint, SourceFile};
 
 fn fixtures_dir() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures")
@@ -109,6 +109,39 @@ fn diagnostics_are_span_accurate_and_ci_greppable() {
         d.render(),
         format!("det01_wall_clock.rs:{}: [TNB-DET01] {}", d.line, d.message)
     );
+}
+
+#[test]
+fn dead01_fixture_flags_only_pub_fns_nothing_calls() {
+    // TNB-DEAD01 needs every caller in view, so it runs on a file set
+    // (workspace files plus out-of-workspace callers), not one fixture.
+    let dir = fixtures_dir().join("dead01");
+    let read = |name: &str| std::fs::read_to_string(dir.join(name)).expect("read fixture");
+    let mut models = Vec::new();
+    let mut srcs = Vec::new();
+    let mut expected = Vec::new();
+    for name in ["lib.rs", "caller.rs"] {
+        let content = read(name);
+        let (scope, expects) = parse_header(name, &content);
+        expected.extend(expects.into_iter().map(|(rule, line)| (name, rule, line)));
+        let src = SourceFile::parse(&content);
+        models.push(model::build(name, &scope, &src));
+        srcs.push(src);
+    }
+    let callers = [SourceFile::parse(&read("bench.rs"))];
+    let mut diags = Vec::new();
+    dead::check(&models, &srcs, &callers, &mut diags);
+    let mut actual: Vec<(&str, String, usize)> = diags
+        .iter()
+        .map(|d| (d.file.as_str(), d.rule.to_string(), d.line))
+        .collect();
+    actual.sort();
+    expected.sort();
+    assert_eq!(actual, expected, "left = actual, right = expected");
+    // Without the bench package in view, its only use is gone.
+    let mut diags = Vec::new();
+    dead::check(&models, &srcs, &[], &mut diags);
+    assert!(diags.iter().any(|d| d.message.contains("bench_only")));
 }
 
 fn load_manifest(file: &str) -> layering::Manifest {

@@ -48,7 +48,7 @@ fn main() {
     symbols[8] = (symbols[8] + 100) % 256; // corrupt payload symbols 0 and 5
     symbols[13] = (symbols[13] + 77) % 256;
     let (header, extras, _) = decode_header_with_bec(&symbols, &params).expect("header decodes");
-    let d = decode_payload_with_bec(&symbols[8..], &header, &extras, &params)
+    let d = decode_payload_with_bec(&symbols[8..], &header, &extras, &params, None, None)
         .expect("BEC repairs the packet");
     println!(
         "\npacket level: decoded {:?} with {} rescued codewords, {} CRC checks",

@@ -35,7 +35,7 @@ fn main() {
 
     for kind in [SchemeKind::LoRaPhy, SchemeKind::Cic, SchemeKind::Tnb] {
         let scheme = kind.build(params);
-        let decoded = scheme.decode_single(trace.samples());
+        let decoded = scheme.decode(&[trace.samples()]);
         let ok = decoded
             .iter()
             .filter(|d| payloads.iter().any(|p| p == &d.payload))

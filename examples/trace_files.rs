@@ -31,7 +31,7 @@ fn main() {
 
     let samples = load_trace(&path).expect("read trace");
     let scheme = SchemeKind::Tnb.build(params);
-    let decoded = scheme.decode_single(&samples);
+    let decoded = scheme.decode(&[&samples]);
     println!("\nnode  seq   SNR(dB)  start(s)");
     let mut correct = 0;
     for d in &decoded {
