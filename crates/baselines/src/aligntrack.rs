@@ -18,7 +18,7 @@ use crate::scheme::{drive_baseline, interferers, Scheme, SymbolAssigner};
 use tnb_core::packet::{DecodedPacket, DetectedPacket};
 use tnb_core::sigcalc::SigCalc;
 use tnb_core::thrive::shift_bins;
-use tnb_dsp::{find_peaks, Complex32, PeakFinderConfig};
+use tnb_dsp::{find_peaks, Complex32};
 use tnb_phy::params::LoRaParams;
 
 /// The AlignTrack* baseline (optionally decoded with BEC: "AlignTrack*+").
@@ -52,15 +52,11 @@ impl SymbolAssigner for AlignTrackAssigner {
         let n = params.n() as i64;
         let l = params.samples_per_symbol() as i64;
         let w = sig.symbol_start(&packets[pkt], j);
-        let own = sig.symbol_vector(pkt, &packets[pkt], j)?.clone();
+        let own = sig.symbol_vector(pkt, &packets[pkt], j)?.to_vec();
 
         let others = interferers(packets, extents, &params, pkt, w);
-        let finder = PeakFinderConfig {
-            circular: true,
-            max_peaks: Some(2 * (others.len() + 1)),
-            ..PeakFinderConfig::default()
-        };
-        let peaks = find_peaks(&own, &finder);
+        let mut peaks = Vec::new();
+        find_peaks(&own, 2 * (others.len() + 1), &mut peaks);
         if peaks.is_empty() {
             // No structure at all: fall back to the raw argmax.
             let (bin, &h) = own.iter().enumerate().max_by(|a, b| a.1.total_cmp(b.1))?;

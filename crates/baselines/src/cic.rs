@@ -134,12 +134,8 @@ impl SymbolAssigner for CicAssigner {
         // high score; an interferer's peak collapses in the sub-windows
         // beyond its symbol boundary.
         let n = params.n();
-        let finder = tnb_dsp::PeakFinderConfig {
-            circular: true,
-            max_peaks: Some(2 * (others.len() + 2)),
-            ..tnb_dsp::PeakFinderConfig::default()
-        };
-        let peaks = tnb_dsp::find_peaks(&full, &finder);
+        let mut peaks = Vec::new();
+        tnb_dsp::find_peaks(&full, 2 * (others.len() + 2), &mut peaks);
         if peaks.is_empty() {
             let (bin, &h) = full.iter().enumerate().max_by(|a, b| a.1.total_cmp(b.1))?;
             return Some((bin as u16, h));

@@ -68,7 +68,9 @@ commands:
       stream a trace to a running daemon and print its uplink lines.
       --sf, --cr and --seed shape the --demo-collision scene only.
       --wideband marks every DATA frame with the WIDEBAND flag so the
-      daemon channelizes the stream into 8 uplink channels first.
+      daemon channelizes the stream into 8 uplink channels first; with
+      --demo-collision it sends a wideband scene with one packet on
+      each of channels 1, 4 and 6.
       --chaos-seed routes the connection through an in-process
       NetFaultPlan proxy (seeded injector picked from the matrix) and
       drives it with the reconnect+RESUME resilient client
@@ -740,20 +742,36 @@ fn gateway_serve(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
+/// The samples `gateway send` streams: the `--trace` file, or the demo
+/// scene — the narrowband collision, or with `--wideband` one packet on
+/// each of channels 1, 4 and 6 of the 8-channel band (the loopback
+/// harness's wideband scene).
+fn send_samples(flags: &Flags) -> Result<Vec<tnb_dsp::Complex32>, String> {
+    if !flags.has("--demo-collision") {
+        return load_trace(flags.require("--trace")?).map_err(|e| e.to_string());
+    }
+    let sf = SpreadingFactor::from_value(flags.parse_or("--sf", 8usize)?)
+        .ok_or("--sf must be 7..=12")?;
+    let cr = CodingRate::from_value(flags.parse_or("--cr", 4usize)?).ok_or("--cr must be 1..=4")?;
+    let params = LoRaParams::new(sf, cr);
+    let seed = flags.parse_or("--seed", 7u64)?;
+    Ok(if flags.has("--wideband") {
+        let cfg = LoopbackConfig {
+            seed,
+            ..LoopbackConfig::wideband(params)
+        };
+        tnb_sim::loopback::scene(&cfg, 0)
+    } else {
+        demo_collision(params, seed)
+    })
+}
+
 /// `tnb-cli gateway send`: stream a trace (or the demo collision) to a
 /// daemon and print every uplink line it returns.
 fn gateway_send(args: &[String]) -> Result<(), String> {
     let flags = Flags(args);
     let addr = flags.require("--addr")?;
-    let samples = if flags.has("--demo-collision") {
-        let sf = SpreadingFactor::from_value(flags.parse_or("--sf", 8usize)?)
-            .ok_or("--sf must be 7..=12")?;
-        let cr =
-            CodingRate::from_value(flags.parse_or("--cr", 4usize)?).ok_or("--cr must be 1..=4")?;
-        demo_collision(LoRaParams::new(sf, cr), flags.parse_or("--seed", 7u64)?)
-    } else {
-        load_trace(flags.require("--trace")?).map_err(|e| e.to_string())?
-    };
+    let samples = send_samples(&flags)?;
     let stream_id: u32 = flags.parse_or("--stream", 0u32)?;
     let chunk: usize = flags.parse_or("--chunk", tnb_gateway::client::DEFAULT_CHUNK)?;
     let chaos_seed: Option<u64> = flags
@@ -1289,6 +1307,37 @@ mod tests {
         // Error paths are typed, not panics.
         assert!(gateway(&s(&["bogus"])).is_err());
         assert!(gateway(&[]).is_err());
+    }
+
+    #[test]
+    fn gateway_send_wideband_demo_uplinks_three_channels() {
+        // `--demo-collision --wideband` streams a wideband scene, not the
+        // narrowband collision: the daemon channelizes it and uplinks one
+        // packet on each of channels 1, 4 and 6.
+        let params = LoRaParams::new(SpreadingFactor::SF8, CodingRate::CR4);
+        let args = s(&["--demo-collision", "--wideband"]);
+        let samples = send_samples(&Flags(&args)).unwrap();
+        let mut rx = tnb_core::WidebandReceiver::new(params);
+        let mut decoded = rx.push(&samples);
+        decoded.extend(rx.finish());
+        let mut channels: Vec<usize> = decoded.iter().map(|cp| cp.channel).collect();
+        channels.sort_unstable();
+        assert_eq!(channels, vec![1, 4, 6]);
+
+        let gw =
+            tnb_gateway::Gateway::spawn(("127.0.0.1", 0), tnb_gateway::GatewayConfig::new(params))
+                .unwrap();
+        let addr = gw.local_addr().to_string();
+        gateway(&s(&[
+            "send",
+            "--addr",
+            &addr,
+            "--demo-collision",
+            "--wideband",
+            "--shutdown",
+        ]))
+        .unwrap();
+        assert_eq!(gw.join().packets_uplinked, 3);
     }
 
     #[test]

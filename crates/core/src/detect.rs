@@ -18,7 +18,7 @@ use crate::packet::{same_transmission, DetectedPacket};
 use crate::parallel::fan_out;
 use crate::sync::fractional_sync_observed;
 
-use tnb_dsp::{find_peaks, Complex32, DspScratch, PeakFinderConfig};
+use tnb_dsp::{find_peaks, Complex32, DspScratch, Peak};
 use tnb_metrics::{PipelineMetrics, Stage, StageCounters};
 use tnb_phy::demodulate::Demodulator;
 use tnb_phy::params::LoRaParams;
@@ -129,13 +129,8 @@ impl Detector {
         }
         let mut active: Vec<Run> = Vec::new();
 
-        let finder_cfg = PeakFinderConfig {
-            circular: true,
-            max_peaks: Some(MAX_SCAN_PEAKS),
-            ..PeakFinderConfig::default()
-        };
-
         // Per-window buffers, reused across windows.
+        let mut found: Vec<Peak> = Vec::new();
         let mut peaks: Vec<usize> = Vec::new();
         let mut consumed: Vec<bool> = Vec::new();
         for w in 0..n_windows {
@@ -146,13 +141,9 @@ impl Detector {
             scratch.fsel.extend_from_slice(y);
             let median = tnb_dsp::stats::median_mut(&mut scratch.fsel);
             let thresh = median * PEAK_MEDIAN_FACTOR;
+            find_peaks(y, MAX_SCAN_PEAKS, &mut found);
             peaks.clear();
-            peaks.extend(
-                find_peaks(y, &finder_cfg)
-                    .into_iter()
-                    .filter(|p| p.height > thresh)
-                    .map(|p| p.index),
-            );
+            peaks.extend(found.iter().filter(|p| p.height > thresh).map(|p| p.index));
 
             consumed.clear();
             consumed.resize(peaks.len(), false);
@@ -252,7 +243,9 @@ impl Detector {
         let p0 = run.first_window as i64 * l - run.bin as i64 * u;
 
         let mut best: Option<(f32, i64, f64)> = None; // (score, start, cfo)
-        for k in -2i64..=2 {
+        let mut down_a: Vec<Peak> = Vec::new();
+        let mut down_b: Vec<Peak> = Vec::new();
+        'align: for k in -2i64..=2 {
             let p = p0 + k * l;
             if p + 13 * l > samples.len() as i64 {
                 continue;
@@ -266,23 +259,17 @@ impl Detector {
             // Median over five windows: a colliding packet's payload peak
             // can outshine this preamble near bin 0 in any single window,
             // but not in the majority of them.
-            let mut bins: Vec<i64> = Vec::with_capacity(5);
-            let mut heights: Vec<f32> = Vec::with_capacity(5);
-            let mut ok = true;
-            for j in 1i64..=5 {
-                match self.peak_near(samples, p + j * l, false, 0, max_cfo_bins, scratch) {
-                    Some((bin, h)) => {
-                        bins.push(center(bin, n));
-                        heights.push(h);
-                    }
-                    None => {
-                        ok = false;
-                        break;
-                    }
-                }
-            }
-            if !ok {
-                continue;
+            let mut bins = [0i64; 5];
+            let mut heights = [0f32; 5];
+            for j in 0..5 {
+                let start = p + (j as i64 + 1) * l;
+                let Some((bin, h)) =
+                    self.peak_near(samples, start, false, 0, max_cfo_bins, scratch)
+                else {
+                    continue 'align;
+                };
+                bins[j] = center(bin, n);
+                heights[j] = h;
             }
             bins.sort_unstable();
             let x1 = bins[bins.len() / 2].rem_euclid(n);
@@ -293,11 +280,11 @@ impl Detector {
             // downchirp bin is unknown a priori; consider every peak of
             // the first window that (a) repeats in the second and (b)
             // yields a CFO within bounds, and keep the strongest.
-            let down_a = self.window_peaks(samples, p + 10 * l, true, scratch);
-            let down_b = self.window_peaks(samples, p + 11 * l, true, scratch);
-            let (Some(down_a), Some(down_b)) = (down_a, down_b) else {
+            if !self.window_peaks(samples, p + 10 * l, true, scratch, &mut down_a)
+                || !self.window_peaks(samples, p + 11 * l, true, scratch, &mut down_b)
+            {
                 continue;
-            };
+            }
             let c1 = center(x1, n);
             let mut best_down: Option<(f32, i64)> = None; // (score, x2)
             for pa in &down_a {
@@ -366,21 +353,21 @@ impl Detector {
         Some(&scratch.fbuf)
     }
 
-    /// Top peaks of one window (circular peak finding, capped).
+    /// Top peaks of one window (circular peak finding, capped) into
+    /// `out`; `false` when the window runs off the trace.
     fn window_peaks(
         &self,
         samples: &[Complex32],
         start: i64,
         down: bool,
         scratch: &mut DspScratch,
-    ) -> Option<Vec<tnb_dsp::Peak>> {
-        let y = self.window_vector(samples, start, down, scratch)?;
-        let cfg = PeakFinderConfig {
-            circular: true,
-            max_peaks: Some(MAX_SCAN_PEAKS),
-            ..PeakFinderConfig::default()
+        out: &mut Vec<Peak>,
+    ) -> bool {
+        let Some(y) = self.window_vector(samples, start, down, scratch) else {
+            return false;
         };
-        Some(find_peaks(y, &cfg))
+        find_peaks(y, MAX_SCAN_PEAKS, out);
+        true
     }
 
     /// The signal-vector value and bin of the strongest bin within `tol`

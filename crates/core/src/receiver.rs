@@ -457,7 +457,6 @@ impl TnbReceiver {
         scratch: &mut DspScratch,
         metrics: &PipelineMetrics,
     ) -> (Vec<DecodedPacket>, DecodeReport) {
-        let pool_before = scratch.pool_stats();
         let mut counters = StageCounters::default();
         let mut sig = SigCalc::new(demod, antennas, scratch, Some(metrics));
 
@@ -518,12 +517,6 @@ impl TnbReceiver {
             // Rescued packets append out of order; restore start order so
             // outcome lists stay position-stable across worker counts.
             tracked.sort_by(|a, b| a.det.start.total_cmp(&b.det.start));
-        }
-
-        if metrics.is_enabled() {
-            let (hits, misses) = scratch.pool_stats();
-            metrics.pool_hits.add(hits - pool_before.0);
-            metrics.pool_misses.add(misses - pool_before.1);
         }
 
         let outcomes = tracked

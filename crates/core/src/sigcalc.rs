@@ -15,19 +15,17 @@ use tnb_phy::params::LoRaParams;
 /// Computes (and caches) aligned, CFO-corrected signal vectors for
 /// detected packets over a multi-antenna trace.
 ///
-/// All per-symbol DSP runs inside the caller-owned [`DspScratch`]; the
-/// cached vectors themselves are drawn from (and on drop returned to)
-/// the scratch's recycling pool, so the steady-state symbol loop makes
-/// no heap allocations once the pool is warm.
+/// All per-symbol DSP runs inside the caller-owned [`DspScratch`], and
+/// the cached vectors sit back to back in its `arena`, so the
+/// steady-state symbol loop makes no heap allocations once the arena
+/// has grown to the decode's working set.
 pub struct SigCalc<'a> {
     demod: &'a Demodulator,
     antennas: &'a [&'a [Complex32]],
     scratch: &'a mut DspScratch,
-    /// Cache keyed by (packet id, data-symbol index). A `BTreeMap` so
-    /// iteration (the `Drop` recycling pass) is key-ordered — a
-    /// `HashMap`'s randomized drain order would return buffers to the
-    /// scratch pool in a run-dependent order.
-    cache: BTreeMap<(usize, isize), Option<Vec<f32>>>,
+    /// Arena offset of each cached vector, keyed by (packet id,
+    /// data-symbol index); `None` when the window runs off the trace.
+    cache: BTreeMap<(usize, isize), Option<usize>>,
     /// Optional observability sink (wall time of vector computation and
     /// matching-cost samples recorded by Thrive through [`Self::metrics`]).
     metrics: Option<&'a PipelineMetrics>,
@@ -36,20 +34,12 @@ pub struct SigCalc<'a> {
     computed: u64,
 }
 
-impl Drop for SigCalc<'_> {
-    fn drop(&mut self) {
-        for v in std::mem::take(&mut self.cache).into_values().flatten() {
-            self.scratch.recycle_f32(v);
-        }
-    }
-}
-
 impl<'a> SigCalc<'a> {
     /// Creates a calculator over `antennas`, borrowing the caller's
-    /// scratch for the lifetime of the calculator. With a `metrics` sink,
-    /// vector computations are timed under [`Stage::SigCalc`], and
-    /// downstream stages holding only the calculator can reach the sink
-    /// via [`Self::metrics`].
+    /// scratch for the lifetime of the calculator (its `arena` is cleared
+    /// here). With a `metrics` sink, vector computations are timed under
+    /// [`Stage::SigCalc`], and downstream stages holding only the
+    /// calculator can reach the sink via [`Self::metrics`].
     pub fn new(
         demod: &'a Demodulator,
         antennas: &'a [&'a [Complex32]],
@@ -57,6 +47,7 @@ impl<'a> SigCalc<'a> {
         metrics: Option<&'a PipelineMetrics>,
     ) -> Self {
         // Zero antennas is tolerated: every vector request returns `None`.
+        scratch.arena.clear();
         SigCalc {
             demod,
             antennas,
@@ -93,59 +84,59 @@ impl<'a> SigCalc<'a> {
     /// Signal vector of data symbol `j` of `pkt` (id `pkt_id`), summed
     /// over antennas; `None` when the window runs off the trace. Results
     /// are cached.
-    // tnb-lint: no_alloc_root -- steady-state symbol path: cache hits are free, misses draw from the scratch pool
+    // tnb-lint: no_alloc_root -- steady-state symbol path: cache hits are free, misses append to the scratch arena
     pub fn symbol_vector(
         &mut self,
         pkt_id: usize,
         pkt: &DetectedPacket,
         j: isize,
-    ) -> Option<&Vec<f32>> {
+    ) -> Option<&[f32]> {
         let key = (pkt_id, j);
-        if !self.cache.contains_key(&key) {
-            self.computed += 1;
-            let t0 = self.metrics.and_then(PipelineMetrics::now);
-            let v = self.compute(pkt, j);
-            if let Some(m) = self.metrics {
-                m.record_span(Stage::SigCalc, t0);
+        let at = match self.cache.get(&key) {
+            Some(&at) => at,
+            None => {
+                self.computed += 1;
+                let t0 = self.metrics.and_then(PipelineMetrics::now);
+                let at = self.compute(pkt, j);
+                if let Some(m) = self.metrics {
+                    m.record_span(Stage::SigCalc, t0);
+                }
+                self.cache.insert(key, at);
+                at
             }
-            self.cache.insert(key, v);
-        }
-        self.cache.get(&key).and_then(Option::as_ref)
+        }?;
+        self.scratch.arena.get(at..at + self.params().n())
     }
 
-    fn compute(&mut self, pkt: &DetectedPacket, j: isize) -> Option<Vec<f32>> {
+    /// Appends the antenna-summed vector to the arena and returns its
+    /// offset; `None` (arena unchanged) when the window runs off the trace.
+    fn compute(&mut self, pkt: &DetectedPacket, j: isize) -> Option<usize> {
         let l = self.params().samples_per_symbol();
         let start = self.symbol_start(pkt, j);
-        if start < 0 {
+        if start < 0 || self.antennas.is_empty() {
             return None;
         }
         let start = start as usize;
-        let mut sum: Option<Vec<f32>> = None;
-        for ant in self.antennas {
+        let at = self.scratch.arena.len();
+        for (a, ant) in self.antennas.iter().enumerate() {
             let Some(window) = ant.get(start..start + l) else {
-                // Window runs off the trace: hand any partial sum back to
-                // the pool and report the vector unavailable.
-                if let Some(v) = sum.take() {
-                    self.scratch.recycle_f32(v);
-                }
+                // Window runs off the trace: drop any partial sum and
+                // report the vector unavailable.
+                self.scratch.arena.truncate(at);
                 return None;
             };
             self.demod
                 .signal_vector_scratch(window, pkt.cfo_cycles, self.scratch);
-            match sum.as_mut() {
-                None => {
-                    let mut v = self.scratch.take_f32(0);
-                    v.extend_from_slice(&self.scratch.fbuf);
-                    sum = Some(v);
-                }
-                Some(acc) => {
-                    for (a, b) in acc.iter_mut().zip(self.scratch.fbuf.iter()) {
-                        *a += *b;
-                    }
+            let DspScratch { arena, fbuf, .. } = &mut *self.scratch;
+            if a == 0 {
+                arena.extend_from_slice(fbuf);
+            } else {
+                for (acc, b) in arena.iter_mut().skip(at).zip(fbuf.iter()) {
+                    *acc += *b;
                 }
             }
         }
-        sum
+        Some(at)
     }
 
     /// Peak heights of the 8 preamble upchirps, processed with the
@@ -249,6 +240,55 @@ mod tests {
             preamble_peak: 1.0,
         };
         assert!(sc.symbol_vector(1, &early, -13).is_none());
+    }
+
+    #[test]
+    fn window_past_the_shorter_antenna_leaves_no_partial_sum() {
+        let d = demod();
+        let l = d.params().samples_per_symbol();
+        let n = d.params().n();
+        let mut x = 0x2545_f491_4f6c_dd1d_u64;
+        let mut noise = |len: usize| -> Vec<Complex32> {
+            (0..len)
+                .map(|_| {
+                    x ^= x << 13;
+                    x ^= x >> 7;
+                    x ^= x << 17;
+                    Complex32::new(
+                        (x >> 40) as f32 / 8e6 - 1.0,
+                        (x & 0xffff) as f32 / 3e4 - 1.0,
+                    )
+                })
+                .collect()
+        };
+        // Data symbol j starts at (12.25 + j)·L: symbol 7 lies inside
+        // antenna 0 but runs past the end of antenna 1.
+        let ant0 = noise(30 * l);
+        let ant1 = noise(20 * l);
+        let refs: Vec<&[Complex32]> = vec![&ant0, &ant1];
+        let pkt = DetectedPacket {
+            start: 0.0,
+            cfo_cycles: 0.3,
+            preamble_peak: 1.0,
+        };
+        let mut scratch = DspScratch::new();
+        let mut sc = SigCalc::new(&d, &refs, &mut scratch, None);
+        assert!(sc.symbol_vector(0, &pkt, 0).is_some());
+        assert!(sc.symbol_vector(0, &pkt, 7).is_none());
+        let got = sc.symbol_vector(0, &pkt, 1).unwrap().to_vec();
+        let s1 = sc.symbol_start(&pkt, 1) as usize;
+        drop(sc);
+        // Only the two available vectors occupy the arena.
+        assert_eq!(scratch.arena.len(), 2 * n);
+
+        let mut direct = DspScratch::new();
+        d.signal_vector_scratch(&ant0[s1..s1 + l], pkt.cfo_cycles, &mut direct);
+        let mut want = direct.fbuf.clone();
+        d.signal_vector_scratch(&ant1[s1..s1 + l], pkt.cfo_cycles, &mut direct);
+        for (w, b) in want.iter_mut().zip(&direct.fbuf) {
+            *w += *b;
+        }
+        assert_eq!(got, want);
     }
 
     #[test]

@@ -20,7 +20,7 @@
 use crate::packet::DetectedPacket;
 use crate::sigcalc::SigCalc;
 use tnb_dsp::smooth::fit_history;
-use tnb_dsp::{find_peaks, PeakFinderConfig};
+use tnb_dsp::{find_peaks, Peak};
 use tnb_phy::params::LoRaParams;
 
 /// Thrive tunables (paper defaults).
@@ -214,6 +214,8 @@ pub struct ThriveTally {
 pub struct CheckpointScratch {
     /// Slot signal-vector copies (empty = vector unavailable).
     vectors: Vec<Vec<f32>>,
+    /// One slot's peaks, before masking.
+    peaks: Vec<Peak>,
     /// Peak candidates per slot.
     cands: Vec<Vec<Candidate>>,
     /// Bins masked during the greedy rounds, per slot.
@@ -305,19 +307,14 @@ fn assign_within_budget(
 
     // Peak candidates per slot: peakfinder capped at 2M peaks (paper
     // §5.3.1), with masked bins removed.
-    let finder = PeakFinderConfig {
-        circular: true,
-        max_peaks: Some(2 * m),
-        ..PeakFinderConfig::default()
-    };
     for (slot, s) in symbols.iter().enumerate() {
         if ws.vectors[slot].is_empty() {
             continue;
         }
-        let peaks = find_peaks(&ws.vectors[slot], &finder);
+        find_peaks(&ws.vectors[slot], 2 * m, &mut ws.peaks);
         ws.cands[slot].extend(
-            peaks
-                .into_iter()
+            ws.peaks
+                .iter()
                 .filter(|p| {
                     !s.masked_bins
                         .iter()

@@ -100,7 +100,7 @@ fn sibling_location_relation_holds() {
     let mut sig = SigCalc::new(&demod, &ants, &mut scratch, None);
 
     // Packet 2's data symbol 0 overlaps packet 1's data symbols 15/16.
-    let v2 = sig.symbol_vector(1, &dets[1], 0).unwrap().clone();
+    let v2 = sig.symbol_vector(1, &dets[1], 0).unwrap().to_vec();
     let own_bin = truth[1][0] as i64;
     assert!(
         v2[own_bin as usize] > tnb_dsp::stats::median(&v2) * 20.0,

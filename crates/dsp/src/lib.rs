@@ -12,13 +12,14 @@
 //!   two (`2^SF · OSF`), so radix-2 is sufficient and simple.
 //! - [`peakfinder`]: a port of the MATLAB `peakfinder` routine the paper uses
 //!   for peak detection (reference \[29\] in the paper).
-//! - [`smooth`]: moving-window smoothers standing in for MATLAB
+//! - [`smooth`]: the centred moving mean standing in for MATLAB
 //!   `smoothdata`, used by Thrive's peak-height history model.
-//! - [`stats`]: median / percentile / CDF helpers used throughout the
+//! - [`stats`]: median / percentile / dB helpers used throughout the
 //!   evaluation harness.
 //! - [`scratch`]: the per-thread [`DspScratch`] workspace (cached FFT
-//!   plans plus reusable de-chirp/spectrum buffers) that keeps the
-//!   steady-state decode loop free of per-symbol allocations.
+//!   plans, reusable de-chirp/spectrum buffers and the signal-vector
+//!   arena) that keeps the steady-state decode loop free of per-symbol
+//!   allocations.
 //! - [`simd`]: runtime-dispatched SIMD kernels (AVX2 / NEON / scalar) for
 //!   the hot inner loops, bit-identical to the scalar reference.
 //! - [`channelizer`]: a polyphase DFT filterbank splitting one wideband
@@ -40,5 +41,5 @@ pub mod stats;
 pub use channelizer::{Channelizer, ChannelizerConfig};
 pub use complex::Complex32;
 pub use fft::FftPlan;
-pub use peakfinder::{find_peaks, Peak, PeakFinderConfig};
+pub use peakfinder::{find_peaks, Peak};
 pub use scratch::{DspScratch, FftPlanCache, RotatorMemo};

@@ -15,10 +15,6 @@
 use crate::complex::Complex32;
 use crate::fft::FftPlan;
 
-/// Upper bound on vectors kept in the recycling pool, so a burst of
-/// concurrent packets cannot pin an unbounded amount of memory.
-const POOL_CAP: usize = 256;
-
 /// Rotator tables kept by a [`RotatorMemo`]. One sync evaluation needs
 /// one table, but Thrive interleaves a few packets (one CFO each) per
 /// checking point, so a single slot would thrash there.
@@ -125,7 +121,11 @@ impl FftPlanCache {
 /// - `fsel` holds a reorderable copy of a signal vector (the detector's
 ///   per-window median selects in place on it),
 /// - `rot` memoizes CFO-rotator tables (private keys, so its contents
-///   always match them).
+///   always match them),
+/// - `arena` holds SigCalc's cached signal vectors back to back. It is
+///   the one exception to the temporal contract: no routine but SigCalc
+///   touches it, and SigCalc (which borrows the scratch mutably for its
+///   whole life) clears it when created.
 #[derive(Debug, Default)]
 pub struct DspScratch {
     /// FFT plans keyed by size, built on first use.
@@ -142,49 +142,14 @@ pub struct DspScratch {
     pub fbuf: Vec<f32>,
     /// Real selection buffer (a copy of `fbuf` that a median may reorder).
     pub fsel: Vec<f32>,
-    pool: Vec<Vec<f32>>,
-    pool_hits: u64,
-    pool_misses: u64,
+    /// Signal-vector arena (SigCalc's per-symbol vectors, back to back).
+    pub arena: Vec<f32>,
 }
 
 impl DspScratch {
     /// Creates an empty scratch; buffers and plans grow on first use.
     pub fn new() -> Self {
         DspScratch::default()
-    }
-
-    /// Takes a zeroed `f32` vector of length `len` from the recycling
-    /// pool, allocating only when the pool is empty.
-    pub fn take_f32(&mut self, len: usize) -> Vec<f32> {
-        match self.pool.pop() {
-            Some(mut v) => {
-                self.pool_hits += 1;
-                v.clear();
-                v.resize(len, 0.0);
-                v
-            }
-            None => {
-                self.pool_misses += 1;
-                vec![0.0; len]
-            }
-        }
-    }
-
-    /// Returns a vector to the recycling pool for a later
-    /// [`take_f32`](Self::take_f32). Vectors beyond the pool cap are
-    /// dropped.
-    pub fn recycle_f32(&mut self, v: Vec<f32>) {
-        if v.capacity() > 0 && self.pool.len() < POOL_CAP {
-            self.pool.push(v);
-        }
-    }
-
-    /// Cumulative `(hits, misses)` of [`take_f32`](Self::take_f32) over
-    /// this scratch's lifetime: a hit reused a pooled allocation, a miss
-    /// allocated. Observability reads the delta around a decode to report
-    /// pool effectiveness.
-    pub fn pool_stats(&self) -> (u64, u64) {
-        (self.pool_hits, self.pool_misses)
     }
 }
 
@@ -222,34 +187,5 @@ mod tests {
         // The memo is full; a hit neither refills nor evicts a slot.
         assert_eq!(m.get(64, 0.3).as_ptr(), first);
         assert_eq!(m.next, 0);
-    }
-
-    #[test]
-    fn pool_recycles_allocations() {
-        let mut s = DspScratch::new();
-        let v = s.take_f32(64);
-        assert_eq!(v.len(), 64);
-        let ptr = v.as_ptr();
-        s.recycle_f32(v);
-        assert_eq!(s.pool.len(), 1);
-        // Same (or smaller) length reuses the same allocation.
-        let v2 = s.take_f32(32);
-        assert_eq!(v2.as_ptr(), ptr);
-        assert_eq!(v2.len(), 32);
-        assert!(v2.iter().all(|&x| x == 0.0));
-        assert_eq!(s.pool.len(), 0);
-    }
-
-    #[test]
-    fn pool_is_bounded() {
-        let mut s = DspScratch::new();
-        for _ in 0..(POOL_CAP + 10) {
-            s.recycle_f32(vec![0.0; 8]);
-        }
-        assert_eq!(s.pool.len(), POOL_CAP);
-        // Zero-capacity vectors are not worth pooling.
-        let before = s.pool.len();
-        s.recycle_f32(Vec::new());
-        assert_eq!(s.pool.len(), before);
     }
 }

@@ -1,5 +1,5 @@
 //! Small statistics helpers used by Thrive (median deviations) and the
-//! evaluation harness (CDFs, percentiles, dB conversions).
+//! evaluation harness (percentiles, dB conversions).
 
 /// Median of a slice, reordering it in place (avoids a copy in hot loops).
 /// Returns 0.0 for an empty slice.

@@ -20,7 +20,7 @@
 use std::sync::Mutex;
 
 use proptest::prelude::*;
-use tnb_dsp::peakfinder::{find_peaks, PeakFinderConfig};
+use tnb_dsp::peakfinder::find_peaks;
 use tnb_dsp::simd::{self, Backend};
 use tnb_dsp::Complex32;
 
@@ -220,7 +220,6 @@ proptest! {
     fn find_peaks_identical_under_both_backends(
         seed in 0u64..100_000,
         n in 3usize..1_500,
-        circular in any::<bool>(),
         clean in any::<bool>(),
     ) {
         let x = if clean {
@@ -228,13 +227,10 @@ proptest! {
         } else {
             poisoned_f32(seed, n)
         };
-        let cfg = PeakFinderConfig {
-            circular,
-            max_peaks: Some(16),
-            ..PeakFinderConfig::default()
-        };
         let (s, v) = scalar_vs_simd(|| {
-            find_peaks(&x, &cfg)
+            let mut peaks = Vec::new();
+            find_peaks(&x, 16, &mut peaks);
+            peaks
                 .into_iter()
                 .map(|p| (p.index, canon_bits(p.height)))
                 .collect::<Vec<_>>()

@@ -326,10 +326,7 @@ impl SessionLog {
 
 /// One parked (disconnected, resumable) connection's decode state.
 struct Parked {
-    sessions: BTreeMap<u32, Session>,
-    finished: BTreeMap<u32, FinishedStream>,
-    closed_report: DecodeReport,
-    last_metrics: MetricsSnapshot,
+    conn: ConnState,
     log: SessionLog,
     /// When the grace window runs out and this entry is dropped.
     deadline: Instant,
@@ -956,12 +953,11 @@ fn decode_loop(
             Work::Resume { token, delivered } => match table.resume(token) {
                 Some(parked) => {
                     stats.sessions_resumed.inc();
-                    state.sessions = parked.sessions;
-                    state.finished = parked.finished;
-                    state.closed_report = parked.closed_report;
-                    state.last_metrics = parked.last_metrics;
-                    state.token = Some(token);
-                    state.resumed = true;
+                    state = ConnState {
+                        token: Some(token),
+                        resumed: true,
+                        ..parked.conn
+                    };
                     up.log = parked.log;
                     up.logging = true;
                     let mut streams: Vec<(u32, u32, u64)> = state
@@ -1048,10 +1044,7 @@ fn teardown(
             table.park(
                 token,
                 Parked {
-                    sessions: state.sessions,
-                    finished: state.finished,
-                    closed_report: state.closed_report,
-                    last_metrics: state.last_metrics,
+                    conn: state,
                     log: std::mem::take(&mut up.log),
                     deadline,
                 },
@@ -1237,10 +1230,7 @@ mod tests {
         // tnb-lint: allow(TNB-DET01) -- test-only clock anchor
         let now = Instant::now();
         let parked = |grace: Duration| Parked {
-            sessions: BTreeMap::new(),
-            finished: BTreeMap::new(),
-            closed_report: DecodeReport::default(),
-            last_metrics: MetricsSnapshot::default(),
+            conn: ConnState::new(),
             log: SessionLog::default(),
             deadline: now + grace,
         };

@@ -81,39 +81,10 @@ impl Stage {
     }
 }
 
-/// A monotonically increasing event count (interior-mutable).
-#[derive(Debug, Default)]
-pub struct Counter(Cell<u64>);
-
-impl Counter {
-    /// Adds `n` to the counter.
-    pub fn add(&self, n: u64) {
-        self.0.set(self.0.get() + n);
-    }
-
-    /// Increments the counter by one.
-    pub fn inc(&self) {
-        self.add(1);
-    }
-
-    /// Current value.
-    pub fn get(&self) -> u64 {
-        self.0.get()
-    }
-
-    /// Adds another counter's value (worker-merge; addition commutes, so
-    /// the merged total is independent of worker scheduling).
-    pub fn absorb(&self, other: &Counter) {
-        self.add(other.get());
-    }
-}
-
 /// A thread-safe, monotonically increasing event count for control-plane
 /// services (the gateway daemon's ingest/backpressure/protocol counters).
 ///
-/// Unlike [`Counter`], which is `Cell`-based and owned by exactly one
-/// worker along the determinism boundary, a `SharedCounter` is `Sync` and
-/// meant to be bumped concurrently from service threads whose ordering is
+/// A `SharedCounter` is `Sync` and meant to be bumped concurrently from service threads whose ordering is
 /// inherently nondeterministic (socket readers, per-connection decoders).
 /// It must therefore never feed anything compared for byte-identity.
 #[derive(Debug, Default)]
@@ -438,10 +409,6 @@ pub struct PipelineMetrics {
     pub matching_cost_milli: Histogram,
     /// BEC candidate-set sizes per block-decode call.
     pub bec_candidates: Histogram,
-    /// Scratch-pool reuse hits during the decode.
-    pub pool_hits: Counter,
-    /// Scratch-pool allocations (pool empty) during the decode.
-    pub pool_misses: Counter,
     /// Overlap clusters the receiver decoded.
     pub clusters: Gauge,
     /// Worker threads used.
@@ -455,8 +422,6 @@ impl PipelineMetrics {
             wall: std::array::from_fn(|_| Histogram::default()),
             matching_cost_milli: Histogram::default(),
             bec_candidates: Histogram::default(),
-            pool_hits: Counter::default(),
-            pool_misses: Counter::default(),
             clusters: Gauge::default(),
             workers: Gauge::default(),
         }
@@ -511,7 +476,7 @@ impl PipelineMetrics {
         &self.wall[stage.index()]
     }
 
-    /// Merges a worker's metrics in. Histogram and counter merges are
+    /// Merges a worker's metrics in. Histogram merges are
     /// commutative sums, so the aggregate is independent of worker
     /// scheduling; gauges keep their maximum.
     pub fn absorb(&self, other: &PipelineMetrics) {
@@ -520,8 +485,6 @@ impl PipelineMetrics {
         }
         self.matching_cost_milli.absorb(&other.matching_cost_milli);
         self.bec_candidates.absorb(&other.bec_candidates);
-        self.pool_hits.absorb(&other.pool_hits);
-        self.pool_misses.absorb(&other.pool_misses);
         self.clusters.absorb(&other.clusters);
         self.workers.absorb(&other.workers);
     }
@@ -532,8 +495,6 @@ impl PipelineMetrics {
             stage_wall_ns: std::array::from_fn(|i| self.wall[i].snapshot()),
             matching_cost_milli: self.matching_cost_milli.snapshot(),
             bec_candidates: self.bec_candidates.snapshot(),
-            pool_hits: self.pool_hits.get(),
-            pool_misses: self.pool_misses.get(),
             clusters: self.clusters.get(),
             workers: self.workers.get(),
         }
@@ -550,10 +511,6 @@ pub struct MetricsSnapshot {
     pub matching_cost_milli: HistogramSnapshot,
     /// BEC candidate-set-size distribution.
     pub bec_candidates: HistogramSnapshot,
-    /// Scratch-pool reuse hits.
-    pub pool_hits: u64,
-    /// Scratch-pool allocations.
-    pub pool_misses: u64,
     /// Overlap clusters the receiver decoded.
     pub clusters: f64,
     /// Worker threads used.
@@ -587,11 +544,9 @@ impl MetricsSnapshot {
         }
         out.push_str(&format!(
             "}},\"matching_cost_milli\":{},\"bec_candidates\":{},\
-             \"pool\":{{\"hits\":{},\"misses\":{}}},\"clusters\":{},\"workers\":{}}}",
+             \"clusters\":{},\"workers\":{}}}",
             self.matching_cost_milli.to_json(),
             self.bec_candidates.to_json(),
-            self.pool_hits,
-            self.pool_misses,
             self.clusters,
             self.workers
         ));
@@ -602,18 +557,6 @@ impl MetricsSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn counter_adds_and_absorbs() {
-        let a = Counter::default();
-        let b = Counter::default();
-        a.inc();
-        a.add(4);
-        b.add(10);
-        a.absorb(&b);
-        assert_eq!(a.get(), 15);
-        assert_eq!(b.get(), 10);
-    }
 
     #[test]
     fn shared_counter_is_sync_and_sums() {
@@ -722,13 +665,11 @@ mod tests {
         let main = PipelineMetrics::enabled();
         let worker = PipelineMetrics::enabled();
         worker.record_cost(250);
-        worker.pool_hits.add(3);
         worker.record_span(Stage::Bec, worker.now());
         main.record_cost(800);
         main.absorb(&worker);
         let s = main.snapshot();
         assert_eq!(s.matching_cost_milli.count, 2);
-        assert_eq!(s.pool_hits, 3);
         assert_eq!(s.wall(Stage::Bec).count, 1);
     }
 
@@ -763,7 +704,7 @@ mod tests {
             assert!(json.contains(&format!("\"{}\":", s.name())), "{json}");
         }
         assert!(json.contains("\"timings_ns\""));
-        assert!(json.contains("\"pool\""));
+        assert!(json.contains("\"clusters\""));
         // Balanced braces (no nested strings in this format).
         let open = json.matches('{').count();
         let close = json.matches('}').count();
