@@ -212,7 +212,7 @@ pub(crate) fn drive_baseline<A: SymbolAssigner>(
     let mut scratch = DspScratch::new();
     let detector = Detector::new(params);
     let detected = detector.detect(
-        antennas[0],
+        &antennas[..1],
         1,
         &mut scratch,
         &PipelineMetrics::disabled(),

@@ -70,9 +70,37 @@ impl Detector {
         &self.demod
     }
 
-    /// Detects all packets in `samples`, returning their synchronized
+    /// Detects all packets on every antenna, returning their synchronized
     /// start times and CFOs sorted by start time. Stage wall times go to
     /// `metrics`, deterministic event counts to `counters`.
+    ///
+    /// Each antenna is detected on its own, then its start-sorted
+    /// candidates are merged, antenna by antenna, into one list under
+    /// [`same_transmission`]: under fading this is where antenna
+    /// diversity pays (paper §8.5), and a preamble seen on two antennas
+    /// keeps its stronger observation.
+    pub fn detect(
+        &self,
+        antennas: &[&[Complex32]],
+        workers: usize,
+        scratch: &mut DspScratch,
+        metrics: &PipelineMetrics,
+        counters: &mut StageCounters,
+    ) -> Vec<DetectedPacket> {
+        let l = self.params.samples_per_symbol() as f64;
+        let mut out: Vec<DetectedPacket> = Vec::new();
+        for samples in antennas {
+            for p in self.detect_antenna(samples, workers, scratch, metrics, counters) {
+                if merge_dedup(&mut out, p, l) {
+                    counters.detect_duplicates += 1;
+                }
+            }
+        }
+        out.sort_by(|a, b| a.start.total_cmp(&b.start));
+        out
+    }
+
+    /// Detection on one antenna, deduplicated and sorted by start time.
     ///
     /// The scan pass is a single cheap sweep and stays on `scratch`;
     /// validation — five candidate alignments plus the 36-point
@@ -80,7 +108,7 @@ impl Detector {
     /// out over `workers` threads. Results and counters are identical for
     /// any worker count: validated candidates are deduplicated in scan
     /// order.
-    pub fn detect(
+    fn detect_antenna(
         &self,
         samples: &[Complex32],
         workers: usize,
@@ -403,7 +431,7 @@ impl Detector {
 /// collision glitch) or two antennas can describe the same preamble, and
 /// keeping the stronger observation gives Thrive the better history
 /// bootstrap.
-pub(crate) fn merge_dedup(out: &mut Vec<DetectedPacket>, p: DetectedPacket, l: f64) -> bool {
+fn merge_dedup(out: &mut Vec<DetectedPacket>, p: DetectedPacket, l: f64) -> bool {
     match out
         .iter()
         .position(|q| same_transmission(q.start, q.cfo_cycles, p.start, p.cfo_cycles, l))

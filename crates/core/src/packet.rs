@@ -28,10 +28,10 @@ impl DetectedPacket {
 
 /// True when two detections describe the same transmission: starts within
 /// a quarter symbol *and* CFOs within 1.5 bins. This single predicate is
-/// shared by the detector's deduplication, the receivers' cross-antenna
-/// candidate merges and the streaming frontend's overlap deduplication,
-/// so a packet can never be double-emitted by one layer using a looser
-/// window than another.
+/// shared by the detector's deduplication within and across antennas,
+/// the SIC rescue's member filter and the streaming frontend's overlap
+/// deduplication, so a packet can never be double-emitted by one layer
+/// using a looser window than another.
 pub fn same_transmission(
     start_a: f64,
     cfo_a: f64,

@@ -92,23 +92,26 @@ pub(crate) fn fan_out<T: Send>(
     results
 }
 
-/// Groups start-sorted detections into connected components under the
-/// overlap horizon: a new cluster starts whenever a packet begins after
-/// every earlier packet's span has ended.
-pub(crate) fn clusters(detected: &[DetectedPacket], horizon: f64) -> Vec<Range<usize>> {
+/// Groups start-sorted `(start, end)` spans into connected components: a
+/// new cluster starts whenever a span begins at or after the end of every
+/// earlier span. The receiver passes each detection's start plus the
+/// overlap horizon; the SIC rescue passes its members' actual extents.
+pub(crate) fn clusters(spans: impl IntoIterator<Item = (f64, f64)>) -> Vec<Range<usize>> {
     let mut out = Vec::new();
     let mut begin = 0usize;
+    let mut len = 0usize;
     let mut max_end = f64::NEG_INFINITY;
-    for (i, p) in detected.iter().enumerate() {
-        if i > begin && p.start >= max_end {
+    for (i, (start, end)) in spans.into_iter().enumerate() {
+        if i > begin && start >= max_end {
             out.push(begin..i);
             begin = i;
             max_end = f64::NEG_INFINITY;
         }
-        max_end = max_end.max(p.start + horizon);
+        max_end = max_end.max(end);
+        len = i + 1;
     }
-    if begin < detected.len() {
-        out.push(begin..detected.len());
+    if begin < len {
+        out.push(begin..len);
     }
     out
 }
@@ -158,11 +161,16 @@ mod tests {
         horizon_samples(LoRaParams::new(SpreadingFactor::SF8, CodingRate::CR1), 16)
     }
 
+    /// Clusters of packets starting at `starts`, each spanning the horizon.
+    fn clusters_at(starts: &[f64], h: f64) -> Vec<Range<usize>> {
+        clusters(starts.iter().map(|&s| (s, s + h)))
+    }
+
     #[test]
     fn clusters_split_on_gaps() {
         let h = horizon();
-        let dets = [pkt(0.0), pkt(h / 2.0), pkt(h * 3.0), pkt(h * 10.0)];
-        assert_eq!(clusters(&dets, h), vec![0..2, 2..3, 3..4]);
+        let starts = [0.0, h / 2.0, h * 3.0, h * 10.0];
+        assert_eq!(clusters_at(&starts, h), vec![0..2, 2..3, 3..4]);
     }
 
     #[test]
@@ -170,15 +178,28 @@ mod tests {
         let h = horizon();
         // Each packet overlaps only its neighbour; the chain is one
         // component.
-        let dets = [pkt(0.0), pkt(h * 0.9), pkt(h * 1.8), pkt(h * 2.7)];
-        assert_eq!(clusters(&dets, h), vec![0..4]);
+        let starts = [0.0, h * 0.9, h * 1.8, h * 2.7];
+        assert_eq!(clusters_at(&starts, h), vec![0..4]);
+    }
+
+    #[test]
+    fn spans_are_half_open() {
+        // A span starting exactly at the running end opens a new cluster;
+        // one sample earlier it joins, even when an earlier, longer span
+        // sets the end.
+        assert_eq!(clusters([(0.0, 10.0), (10.0, 20.0)]), vec![0..1, 1..2]);
+        assert_eq!(clusters([(0.0, 10.0), (9.0, 20.0)]), vec![0..2]);
+        assert_eq!(
+            clusters([(0.0, 30.0), (5.0, 8.0), (29.0, 40.0), (40.0, 41.0)]),
+            vec![0..3, 3..4]
+        );
     }
 
     #[test]
     fn empty_and_single_detections() {
         let h = horizon();
-        assert!(clusters(&[], h).is_empty());
-        assert_eq!(clusters(&[pkt(5000.0)], h), vec![0..1]);
+        assert!(clusters_at(&[], h).is_empty());
+        assert_eq!(clusters_at(&[5000.0], h), vec![0..1]);
     }
 
     #[test]
@@ -190,6 +211,22 @@ mod tests {
         assert_eq!(report.decoded, 0);
         assert_eq!(report.degraded(), 2);
         assert_eq!(report.degraded_with(DegradeReason::WorkerPanic), 2);
+    }
+
+    #[test]
+    fn horizon_less_its_margin_is_the_longest_packet() {
+        // The SIC rescue sizes its residual with this difference.
+        for sf in SpreadingFactor::ALL {
+            for cr in CodingRate::ALL {
+                let p = LoRaParams::new(sf, cr);
+                let l = p.samples_per_symbol();
+                let mut cr4 = p;
+                cr4.cr = CodingRate::CR4;
+                let longest = p.preamble_samples() + block::data_symbol_count(255, &cr4) * l;
+                let horizon = horizon_samples(p, MAX_PAYLOAD_LEN);
+                assert_eq!(horizon as i64 - l as i64, longest as i64, "{sf:?} {cr:?}");
+            }
+        }
     }
 
     #[test]

@@ -14,7 +14,7 @@ fn params(sf: SpreadingFactor) -> LoRaParams {
 /// One-worker detection on a fresh scratch, without observability.
 fn detect(p: LoRaParams, samples: &[Complex32]) -> Vec<DetectedPacket> {
     Detector::new(p).detect(
-        samples,
+        &[samples],
         1,
         &mut DspScratch::new(),
         &PipelineMetrics::disabled(),

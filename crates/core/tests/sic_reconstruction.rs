@@ -146,7 +146,7 @@ fn self_subtraction_with_detector_estimates_is_below_floor() {
 
     let mut scratch = DspScratch::new();
     let detected = Detector::new(p).detect(
-        &trace,
+        &[&trace],
         1,
         &mut scratch,
         &PipelineMetrics::disabled(),
