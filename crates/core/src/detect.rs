@@ -454,9 +454,11 @@ pub(crate) fn center(x: i64, n: i64) -> i64 {
     ((x + n / 2).rem_euclid(n)) - n / 2
 }
 
-/// True if two bins are within `tol` of each other modulo `n`.
-fn bins_close(a: i64, b: i64, n: i64, tol: i64) -> bool {
-    center(a - b, n).abs() <= tol
+/// True if two bins are within `tol` of each other modulo `n` (for
+/// `tol < n/2`).
+pub(crate) fn bins_close(a: i64, b: i64, n: i64, tol: i64) -> bool {
+    let d = (a - b).rem_euclid(n);
+    d <= tol || d >= n - tol
 }
 
 #[cfg(test)]
@@ -477,6 +479,24 @@ mod tests {
         assert!(bins_close(0, 255, 256, 1));
         assert!(bins_close(255, 0, 256, 1));
         assert!(!bins_close(0, 250, 256, 2));
+        assert!(!bins_close(5, 250, 256, 2));
+    }
+
+    #[test]
+    fn bins_close_matches_centred_distance() {
+        for n in [128i64, 4096] {
+            for tol in 0..=2 {
+                for a in 0..n {
+                    for b in 0..n {
+                        assert_eq!(
+                            bins_close(a, b, n, tol),
+                            center(a - b, n).abs() <= tol,
+                            "a={a} b={b} n={n} tol={tol}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

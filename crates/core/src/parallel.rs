@@ -27,7 +27,7 @@ use crate::receiver::{DecodeOutcome, DecodeReport, DegradeReason};
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use tnb_dsp::DspScratch;
-use tnb_metrics::PipelineMetrics;
+use tnb_metrics::{PipelineMetrics, StageCounters};
 use tnb_phy::block;
 use tnb_phy::params::{CodingRate, LoRaParams};
 
@@ -130,17 +130,14 @@ pub(crate) fn horizon_samples(params: LoRaParams, max_payload_len: usize) -> f64
 /// The report for a cluster whose decode never completed: nothing
 /// decoded, every detection degraded with [`DegradeReason::WorkerPanic`].
 pub(crate) fn degraded_cluster(cluster: &[DetectedPacket]) -> (Vec<DecodedPacket>, DecodeReport) {
-    let report = DecodeReport {
-        detected: cluster.len(),
-        outcomes: cluster
-            .iter()
-            .map(|det| DecodeOutcome::Degraded {
-                start: det.start,
-                reason: DegradeReason::WorkerPanic,
-            })
-            .collect(),
-        ..DecodeReport::default()
-    };
+    let outcomes = cluster
+        .iter()
+        .map(|det| DecodeOutcome::Degraded {
+            start: det.start,
+            reason: DegradeReason::WorkerPanic,
+        })
+        .collect();
+    let report = DecodeReport::from_outcomes(outcomes, StageCounters::default());
     (Vec::new(), report)
 }
 

@@ -169,6 +169,28 @@ pub struct DecodeReport {
 }
 
 impl DecodeReport {
+    /// The report over a set of per-packet outcomes: every tally is
+    /// counted from them, so the counts and the list cannot disagree.
+    pub(crate) fn from_outcomes(outcomes: Vec<DecodeOutcome>, stages: StageCounters) -> Self {
+        let mut r = DecodeReport {
+            detected: outcomes.len(),
+            outcomes,
+            stages,
+            ..DecodeReport::default()
+        };
+        r.decoded = r.detected - r.degraded();
+        r.second_pass_rescues = r
+            .outcomes
+            .iter()
+            .filter(|o| matches!(o, DecodeOutcome::Decoded { pass, .. } if *pass >= 2))
+            .count();
+        r.header_failures = r.degraded_with(DegradeReason::Header);
+        r.payload_failures =
+            r.degraded_with(DegradeReason::Payload) + r.degraded_with(DegradeReason::PayloadBudget);
+        r.truncated = r.degraded_with(DegradeReason::Truncated);
+        r
+    }
+
     /// Accumulates another report field-wise (used when merging
     /// independently decoded work items back into one trace report).
     pub fn absorb(&mut self, other: &DecodeReport) {
@@ -191,10 +213,11 @@ impl DecodeReport {
 
     /// True when the per-packet accounting balances: every detected
     /// packet carries exactly one outcome, and the decoded/degraded
-    /// split covers all of them. Checked via `debug_assert!` at the end
-    /// of every decode and at every merge point, so a bookkeeping bug in
-    /// a new code path fails loudly in debug/test builds while release
-    /// builds stay panic-free.
+    /// split covers all of them. Reports built by
+    /// `from_outcomes` balance by construction; the check runs
+    /// via `debug_assert!` at every merge point, so a bookkeeping bug in
+    /// a path that edits the fields fails loudly in debug/test builds
+    /// while release builds stay panic-free.
     pub fn accounting_ok(&self) -> bool {
         self.outcomes.len() == self.detected && self.decoded + self.degraded() == self.detected
     }
@@ -264,11 +287,31 @@ pub struct TnbReceiver {
     max_payload_len: usize,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Status {
+/// Where a packet's decode stands.
+#[derive(Clone, PartialEq, Eq)]
+enum State {
+    /// Collecting symbols in the current pass.
     Active,
-    Decoded,
+    /// The payload passed the CRC.
+    Decoded {
+        header: Header,
+        /// The CRC-valid payload.
+        payload: Vec<u8>,
+        /// The re-encoded transmitted symbols: masked in other packets'
+        /// windows, and subtracted by SIC.
+        symbols: Vec<u16>,
+    },
+    /// Failed in the current pass; `Tracked::reason` says why.
     Failed,
+}
+
+/// A decoded PHY header, its extra nibbles and the data-symbol count its
+/// length implies (decoded together).
+#[derive(Clone)]
+struct HeaderInfo {
+    header: Header,
+    extras: Vec<Vec<u8>>,
+    n_symbols: usize,
 }
 
 /// Per-packet tracking state across the checkpoint loop.
@@ -276,41 +319,25 @@ enum Status {
 struct Tracked {
     det: DetectedPacket,
     data_start: i64,
-    /// Total data symbols (known once the header is decoded).
-    n_symbols: Option<usize>,
     values: Vec<Option<u16>>,
     history: HistoryModel,
-    header: Option<(Header, Vec<Vec<u8>>)>,
-    status: Status,
+    header: Option<HeaderInfo>,
+    state: State,
+    /// Why the most recent attempt failed. Sticky: re-arming keeps it, an
+    /// entry still active at the end of a pass becomes `Truncated` only if
+    /// it has none, and a BEC budget exhausted by any payload attempt
+    /// makes every later payload failure `PayloadBudget`.
+    reason: Option<DegradeReason>,
     snr_db: f32,
     rescued: usize,
     pass: u8,
-    /// CRC-validated payload (set when `status == Decoded`).
-    decoded_payload: Vec<u8>,
-    /// Re-encoded transmitted symbols of a decoded packet, for masking in
-    /// the second pass.
-    known_symbols: Option<Vec<u16>>,
-    /// Where the most recent failure happened (for diagnostics).
-    failure: Failure,
-    /// The BEC candidate budget ran out while decoding this packet's
-    /// payload (refines a `Payload` failure into `PayloadBudget`).
-    bec_budget_hit: bool,
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Failure {
-    None,
-    Header,
-    Payload,
-    Truncated,
 }
 
 impl Tracked {
     /// Re-arms a failed entry for another decode pass: every symbol value
-    /// is cleared, while a decoded header and the length it implies are
-    /// kept.
+    /// is cleared, while a decoded header and the degrade reason are kept.
     fn rearm(&mut self, pass: u8) {
-        self.status = Status::Active;
+        self.state = State::Active;
         self.pass = pass;
         self.values.fill(None);
     }
@@ -318,9 +345,24 @@ impl Tracked {
     /// The transmitted symbols of a decoded entry: masked in other
     /// packets' windows, and subtracted by SIC.
     fn decoded_symbols(&self) -> Option<&[u16]> {
-        self.known_symbols
-            .as_deref()
-            .filter(|_| self.status == Status::Decoded)
+        match &self.state {
+            State::Decoded { symbols, .. } => Some(symbols),
+            _ => None,
+        }
+    }
+
+    /// Data symbols to collect: the header's until it decodes, then the
+    /// whole packet's.
+    fn n_symbols(&self) -> usize {
+        self.header
+            .as_ref()
+            .map_or(LoRaParams::HEADER_SYMBOLS, |h| h.n_symbols)
+    }
+
+    /// Marks the entry failed for `reason`.
+    fn fail(&mut self, reason: DegradeReason) {
+        self.reason = Some(reason);
+        self.state = State::Failed;
     }
 }
 
@@ -477,10 +519,10 @@ impl TnbReceiver {
             &mut counters,
         );
 
-        if self.cfg.two_pass && tracked.iter().any(|t| t.status == Status::Failed) {
+        if self.cfg.two_pass && tracked.iter().any(|t| t.state == State::Failed) {
             // Pass 2: re-examine failures with decoded packets' peaks
             // masked and the history curve fitted over all observations.
-            for t in tracked.iter_mut().filter(|t| t.status == Status::Failed) {
+            for t in tracked.iter_mut().filter(|t| t.state == State::Failed) {
                 t.rearm(2);
             }
             self.run_pass(
@@ -512,77 +554,37 @@ impl TnbReceiver {
             tracked.sort_by(|a, b| a.det.start.total_cmp(&b.det.start));
         }
 
-        let outcomes = tracked
-            .iter()
-            .map(|t| match t.status {
-                Status::Decoded => DecodeOutcome::Decoded {
-                    start: t.det.start,
-                    pass: t.pass,
-                },
-                _ => DecodeOutcome::Degraded {
-                    start: t.det.start,
-                    reason: match t.failure {
-                        Failure::Header => DegradeReason::Header,
-                        Failure::Payload if t.bec_budget_hit => DegradeReason::PayloadBudget,
-                        Failure::Payload => DegradeReason::Payload,
-                        // `Failure::None` only while still active; anything
-                        // not decoded by the end is off-trace.
-                        Failure::Truncated | Failure::None => DegradeReason::Truncated,
-                    },
-                },
-            })
-            .collect();
-        let report = DecodeReport {
-            detected: tracked.len(),
-            decoded: tracked
-                .iter()
-                .filter(|t| t.status == Status::Decoded)
-                .count(),
-            second_pass_rescues: tracked
-                .iter()
-                .filter(|t| t.status == Status::Decoded && t.pass >= 2)
-                .count(),
-            header_failures: tracked
-                .iter()
-                .filter(|t| t.failure == Failure::Header && t.status == Status::Failed)
-                .count(),
-            payload_failures: tracked
-                .iter()
-                .filter(|t| t.failure == Failure::Payload && t.status == Status::Failed)
-                .count(),
-            truncated: tracked
-                .iter()
-                .filter(|t| t.failure == Failure::Truncated && t.status == Status::Failed)
-                .count(),
-            outcomes,
-            stages: counters,
-        };
-        debug_assert!(
-            report.accounting_ok(),
-            "DecodeReport accounting broke: detected={} decoded={} degraded={}",
-            report.detected,
-            report.decoded,
-            report.degraded()
-        );
-        let decoded = tracked
-            .into_iter()
-            .filter(|t| t.status == Status::Decoded)
-            .filter_map(|t| {
-                // Decoded packets always carry a header; filter instead of
-                // unwrapping so a broken invariant degrades, not panics.
-                let (header, _) = t.header?;
-                Some(DecodedPacket {
-                    payload: t.decoded_payload.clone(),
-                    header,
-                    start: t.det.start,
-                    cfo_cycles: t.det.cfo_cycles,
-                    snr_db: t.snr_db,
-                    rescued_codewords: t.rescued,
-                    pass: t.pass,
-                })
-            })
-            .collect();
-        (decoded, report)
+        let mut outcomes = Vec::with_capacity(tracked.len());
+        let mut decoded = Vec::new();
+        for t in tracked {
+            let start = t.det.start;
+            match t.state {
+                State::Decoded {
+                    header, payload, ..
+                } => {
+                    outcomes.push(DecodeOutcome::Decoded {
+                        start,
+                        pass: t.pass,
+                    });
+                    decoded.push(DecodedPacket {
+                        payload,
+                        header,
+                        start,
+                        cfo_cycles: t.det.cfo_cycles,
+                        snr_db: t.snr_db,
+                        rescued_codewords: t.rescued,
+                        pass: t.pass,
+                    });
+                }
+                // Every pass ends with each entry decoded or failed with a
+                // reason; `Truncated` only keeps the match total.
+                _ => outcomes.push(DecodeOutcome::Degraded {
+                    start,
+                    reason: t.reason.unwrap_or(DegradeReason::Truncated),
+                }),
+            }
+        }
+        (decoded, DecodeReport::from_outcomes(outcomes, counters))
     }
 
     /// Builds the tracking entry for a freshly detected packet: preamble
@@ -611,18 +613,14 @@ impl TnbReceiver {
         Tracked {
             det: *det,
             data_start,
-            n_symbols: None,
             values: vec![None; LoRaParams::HEADER_SYMBOLS],
             history: HistoryModel::new(heights),
             header: None,
-            status: Status::Active,
+            state: State::Active,
+            reason: None,
             snr_db,
             rescued: 0,
             pass: 1,
-            decoded_payload: Vec::new(),
-            known_symbols: None,
-            failure: Failure::None,
-            bec_budget_hit: false,
         }
     }
 
@@ -668,9 +666,7 @@ impl TnbReceiver {
         let max_extent = parallel::horizon_samples(self.params, MAX_PAYLOAD_LEN) as i64 - l;
         // A packet's occupied span ends after its payload if the length is
         // known, else after the (CR4) header.
-        let end_of = |t: &Tracked| {
-            t.data_start + t.n_symbols.unwrap_or(LoRaParams::HEADER_SYMBOLS) as i64 * l
-        };
+        let end_of = |t: &Tracked| t.data_start + t.n_symbols() as i64 * l;
 
         // Overlap components over the start-sorted entries: spans joined
         // when they come within one symbol of each other (the same margin
@@ -789,7 +785,7 @@ impl TnbReceiver {
                         start: t.det.start - r_lo as f64,
                         ..t.det
                     };
-                    let entry = if t.status == Status::Decoded {
+                    let entry = if t.decoded_symbols().is_some() {
                         Tracked {
                             det,
                             data_start: t.data_start - r_lo,
@@ -799,7 +795,6 @@ impl TnbReceiver {
                         let fresh = self.new_tracked(&mut sig, temp.len(), &det);
                         let mut retry = Tracked {
                             header: t.header.clone(),
-                            n_symbols: t.n_symbols,
                             values: t.values.clone(),
                             ..fresh
                         };
@@ -821,12 +816,12 @@ impl TnbReceiver {
                 let n_members = members.len();
                 let mut rescued_any = false;
                 for (k, mut t2) in temp.into_iter().enumerate() {
-                    if t2.status != Status::Decoded {
+                    if t2.decoded_symbols().is_none() {
                         continue;
                     }
                     if k < n_members {
                         let tr = &mut tracked[members[k]];
-                        if tr.status == Status::Decoded {
+                        if tr.decoded_symbols().is_some() {
                             continue; // mask-only ride-along
                         }
                         // The rescued entry keeps its trace-frame timing.
@@ -864,7 +859,7 @@ impl TnbReceiver {
         }
         let c_start = tracked
             .iter()
-            .filter(|t| t.status == Status::Active)
+            .filter(|t| t.state == State::Active)
             .map(|t| t.data_start.div_euclid(l))
             .min()
             .unwrap_or(0)
@@ -884,17 +879,16 @@ impl TnbReceiver {
             // Which (packet, symbol) pairs intersect this checking point?
             slots.clear();
             for (i, tr) in tracked.iter().enumerate() {
-                if tr.status != Status::Active {
+                if tr.state != State::Active {
                     continue;
                 }
                 let j = (t_now - tr.data_start).div_euclid(l);
-                let limit = tr.n_symbols.unwrap_or(LoRaParams::HEADER_SYMBOLS) as i64;
-                if j >= 0 && j < limit && tr.values[j as usize].is_none() {
+                if j >= 0 && j < tr.n_symbols() as i64 && tr.values[j as usize].is_none() {
                     slots.push((i, j as isize));
                 }
             }
             if slots.is_empty() {
-                if tracked.iter().all(|t| t.status != Status::Active) {
+                if tracked.iter().all(|t| t.state != State::Active) {
                     break;
                 }
                 continue;
@@ -965,13 +959,8 @@ impl TnbReceiver {
         counters.thrive_budget_exhausted += tally.budget_exhausted;
 
         // Anything still active did not complete (e.g. ran off the trace).
-        for tr in tracked.iter_mut() {
-            if tr.status == Status::Active {
-                if tr.failure == Failure::None {
-                    tr.failure = Failure::Truncated;
-                }
-                tr.status = Status::Failed;
-            }
+        for tr in tracked.iter_mut().filter(|t| t.state == State::Active) {
+            tr.fail(tr.reason.unwrap_or(DegradeReason::Truncated));
         }
     }
 
@@ -1033,7 +1022,7 @@ impl TnbReceiver {
         metrics: &PipelineMetrics,
         counters: &mut StageCounters,
     ) {
-        if tr.header.is_some() && tr.n_symbols.is_some() {
+        if tr.header.is_some() {
             return; // kept from pass 1
         }
         let header_syms: Option<Vec<u16>> = tr.values[..LoRaParams::HEADER_SYMBOLS]
@@ -1063,19 +1052,18 @@ impl TnbReceiver {
                 // Sanity: the packet must not extend absurdly beyond the
                 // trace (a corrupted-but-checksum-passing length).
                 if tr.data_start + (n_symbols as i64) * l > trace_len + 4 * l {
-                    tr.failure = Failure::Truncated;
-                    tr.status = Status::Failed;
+                    tr.fail(DegradeReason::Truncated);
                     return;
                 }
-                tr.n_symbols = Some(n_symbols);
                 tr.values.resize(n_symbols, None);
-                tr.header = Some((header, extras));
+                tr.header = Some(HeaderInfo {
+                    header,
+                    extras,
+                    n_symbols,
+                });
                 tr.rescued += rescued;
             }
-            None => {
-                tr.failure = Failure::Header;
-                tr.status = Status::Failed;
-            }
+            None => tr.fail(DegradeReason::Header),
         }
     }
 
@@ -1085,32 +1073,27 @@ impl TnbReceiver {
         metrics: &PipelineMetrics,
         counters: &mut StageCounters,
     ) {
-        let Some(n_symbols) = tr.n_symbols else {
-            return;
-        };
-        if tr.status != Status::Active || tr.values.len() < n_symbols {
+        let Some(info) = &tr.header else { return };
+        if tr.state != State::Active {
             return;
         }
-        if tr.values[..n_symbols].iter().any(Option::is_none) {
-            return;
-        }
-        // All values checked Some above; filter_map keeps this total.
-        let symbols: Vec<u16> = tr.values[..n_symbols].iter().filter_map(|v| *v).collect();
-        let Some((header, extras)) = tr.header.clone() else {
-            // A complete symbol set without a header cannot happen (the
-            // header decode gates `n_symbols`); degrade rather than panic.
-            tr.failure = Failure::Header;
-            tr.status = Status::Failed;
+        let Some(values) = tr.values.get(..info.n_symbols) else {
             return;
         };
+        if values.iter().any(Option::is_none) {
+            return;
+        }
+        let symbols: Vec<u16> = values.iter().flatten().copied().collect();
+        let (header, extras) = (info.header, &info.extras);
         let payload_syms = &symbols[LoRaParams::HEADER_SYMBOLS.min(symbols.len())..];
         counters.bec_calls += 1;
         let t0 = metrics.now();
+        let mut budget_hit = false;
         let result = if self.cfg.use_bec {
             let (result, stats) = match bec::decode_payload_with_bec(
                 payload_syms,
                 &header,
-                &extras,
+                extras,
                 &self.params,
                 None,
                 Some(BEC_CANDIDATE_BUDGET),
@@ -1124,7 +1107,7 @@ impl TnbReceiver {
             counters.bec_candidates += stats.candidates_generated as u64;
             counters.crc_checks += stats.crc_checks as u64;
             counters.bec_budget_exhausted += stats.budget_exhausted as u64;
-            tr.bec_budget_hit |= stats.budget_exhausted;
+            budget_hit = stats.budget_exhausted;
             metrics.record_bec_candidates(stats.candidates_generated as u64);
             result
         } else {
@@ -1144,18 +1127,25 @@ impl TnbReceiver {
             Some((payload, rescued)) => {
                 counters.crc_pass += 1;
                 tr.rescued += rescued;
-                tr.decoded_payload = payload.clone();
                 // Re-encode to get the exact transmitted symbols for
                 // masking in the second pass.
                 let mut p = self.params;
                 p.cr = header.cr;
-                tr.known_symbols = Some(tnb_phy::encoder::encode_packet_symbols(&payload, &p));
-                tr.status = Status::Decoded;
+                let symbols = tnb_phy::encoder::encode_packet_symbols(&payload, &p);
+                tr.state = State::Decoded {
+                    header,
+                    payload,
+                    symbols,
+                };
             }
             None => {
                 counters.crc_fail += 1;
-                tr.failure = Failure::Payload;
-                tr.status = Status::Failed;
+                let budget = budget_hit || tr.reason == Some(DegradeReason::PayloadBudget);
+                tr.fail(if budget {
+                    DegradeReason::PayloadBudget
+                } else {
+                    DegradeReason::Payload
+                });
             }
         }
     }

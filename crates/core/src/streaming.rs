@@ -149,7 +149,7 @@ pub struct StreamingReceiver {
     /// Already emitted packets, for deduplication in the overlap region.
     owned: Owned,
     /// Cumulative observability across all batch decodes of the stream.
-    metrics: PipelineMetrics,
+    pub(crate) metrics: PipelineMetrics,
     report: DecodeReport,
 }
 

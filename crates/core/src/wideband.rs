@@ -17,7 +17,7 @@ use crate::packet::DecodedPacket;
 use crate::receiver::DecodeReport;
 use crate::streaming::{StreamingConfig, StreamingReceiver};
 use tnb_dsp::{Channelizer, ChannelizerConfig, Complex32};
-use tnb_metrics::MetricsSnapshot;
+use tnb_metrics::PipelineMetrics;
 use tnb_phy::params::LoRaParams;
 
 /// Wideband front-end configuration.
@@ -196,13 +196,16 @@ impl StreamDecoder {
         }
     }
 
-    /// Cumulative pipeline metrics. Wideband streams don't aggregate
-    /// wall-time metrics across channels (the per-channel receivers
-    /// observe independently), so theirs read all zeros.
-    pub fn metrics_snapshot(&self) -> MetricsSnapshot {
+    /// Merges the stream's cumulative pipeline metrics into `into`
+    /// (wideband: every channel's).
+    pub fn absorb_metrics_into(&self, into: &PipelineMetrics) {
         match self {
-            StreamDecoder::Narrow(rx) => rx.metrics_snapshot(),
-            StreamDecoder::Wide(_) => MetricsSnapshot::default(),
+            StreamDecoder::Narrow(rx) => into.absorb(&rx.metrics),
+            StreamDecoder::Wide(rx) => {
+                for r in &rx.rxs {
+                    into.absorb(&r.metrics);
+                }
+            }
         }
     }
 

@@ -62,7 +62,7 @@ use std::time::{Duration, Instant};
 use crate::stats::{GatewayStats, GatewayStatsSnapshot};
 use crate::uplink;
 use crate::wire::{FrameKind, FrameReader, ReadStep};
-use tnb_core::{DecodeReport, MetricsSnapshot, StreamDecoder, StreamingConfig, WidebandConfig};
+use tnb_core::{DecodeReport, PipelineMetrics, StreamDecoder, StreamingConfig, WidebandConfig};
 use tnb_dsp::{ChannelizerConfig, Complex32};
 use tnb_phy::LoRaParams;
 
@@ -794,7 +794,9 @@ struct ConnState {
     sessions: BTreeMap<u32, Session>,
     finished: BTreeMap<u32, FinishedStream>,
     closed_report: DecodeReport,
-    last_metrics: MetricsSnapshot,
+    /// Pipeline metrics of every closed stream (wideband: every
+    /// channel), for the STATS line.
+    closed_metrics: PipelineMetrics,
     /// HELLO-assigned session token (makes the connection resumable).
     token: Option<u32>,
     /// Whether this connection re-attached a parked session (switches
@@ -808,7 +810,7 @@ impl ConnState {
             sessions: BTreeMap::new(),
             finished: BTreeMap::new(),
             closed_report: DecodeReport::default(),
-            last_metrics: MetricsSnapshot::default(),
+            closed_metrics: PipelineMetrics::enabled(),
             token: None,
             resumed: false,
         }
@@ -905,7 +907,7 @@ fn decode_loop(
                         stats,
                         &mut up,
                         &mut state.closed_report,
-                        &mut state.last_metrics,
+                        &state.closed_metrics,
                     );
                     state.finished.insert(
                         stream_id,
@@ -923,12 +925,13 @@ fn decode_loop(
             }
             Work::Stats => {
                 let mut report = state.closed_report.clone();
-                let mut metrics = state.last_metrics;
+                let metrics = PipelineMetrics::enabled();
+                metrics.absorb(&state.closed_metrics);
                 for s in state.sessions.values() {
                     report.absorb(&s.rx.report());
-                    metrics = s.rx.metrics_snapshot();
+                    s.rx.absorb_metrics_into(&metrics);
                 }
-                let line = uplink::stats_line(&stats.snapshot(), &report, &metrics);
+                let line = uplink::stats_line(&stats.snapshot(), &report, &metrics.snapshot());
                 up.session(&line, stats);
             }
             Work::Ping { nonce } => {
@@ -1062,7 +1065,7 @@ fn teardown(
                 stats,
                 up,
                 &mut state.closed_report,
-                &mut state.last_metrics,
+                &state.closed_metrics,
             );
         }
     }
@@ -1077,7 +1080,7 @@ fn finish_session(
     stats: &GatewayStats,
     up: &mut Uplink,
     closed_report: &mut DecodeReport,
-    last_metrics: &mut MetricsSnapshot,
+    closed_metrics: &PipelineMetrics,
 ) {
     let pkts = match catch_unwind(AssertUnwindSafe(|| s.rx.finish())) {
         Ok(pkts) => pkts,
@@ -1088,7 +1091,7 @@ fn finish_session(
     };
     s.uplink(stream_id, &pkts, &cfg.params, stats, up);
     let report = s.rx.report();
-    *last_metrics = s.rx.metrics_snapshot();
+    s.rx.absorb_metrics_into(closed_metrics);
     up.session(
         &uplink::end_line(stream_id, s.rx.position(), s.uplinked, &report),
         stats,

@@ -10,7 +10,7 @@
 //! every run and on every worker count (TNB-DET01).
 
 use crate::stats::GatewayStatsSnapshot;
-use tnb_core::{DecodeReport, DecodedPacket, MetricsSnapshot};
+use tnb_core::{DecodeOutcome, DecodeReport, DecodedPacket, MetricsSnapshot};
 use tnb_phy::params::LoRaParams;
 
 /// Center frequency reported in uplink lines, in MHz. The synthetic
@@ -101,16 +101,18 @@ pub fn tagged_uplink_line(
         "{{\"type\":\"uplink\",\"stream\":{stream_id},\"n\":{n},{chan}\
          \"rxpk\":{{\"tmst\":{},\"freq\":{UPLINK_FREQ_MHZ},\"datr\":\"{}\",\
          \"lsnr\":{:.1},\"foff\":{:.0},\"size\":{},\"data\":\"{}\"}},\
-         \"outcome\":{{\"status\":\"decoded\",\"start\":{},\"pass\":{}}},\
-         \"rescued\":{}}}",
+         \"outcome\":{},\"rescued\":{}}}",
         sample_clock_us(pkt.start, params),
         datr(params),
         pkt.snr_db,
         pkt.cfo_cycles * params.bin_hz(),
         pkt.payload.len(),
         base64(&pkt.payload),
-        pkt.start,
-        pkt.pass,
+        DecodeOutcome::Decoded {
+            start: pkt.start,
+            pass: pkt.pass,
+        }
+        .to_json(),
         pkt.rescued_codewords,
     )
 }

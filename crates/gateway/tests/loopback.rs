@@ -5,6 +5,9 @@
 //! multiplexed streams, including payload bytes, outcomes, and
 //! sample-clock timestamps.
 
+use tnb_core::{Overlap, PipelineMetrics, Stage, StreamDecoder, WidebandConfig};
+use tnb_dsp::Complex32;
+use tnb_gateway::wire::quantize;
 use tnb_gateway::{ClientConfig, Gateway, GatewayClient, GatewayConfig};
 use tnb_phy::{CodingRate, LoRaParams, SpreadingFactor};
 use tnb_sim::loopback::{self, LoopbackConfig};
@@ -106,4 +109,79 @@ fn stats_and_shutdown_verbs() {
     assert_eq!(final_stats.connections_accepted, 1, "{final_stats:?}");
     assert_eq!(final_stats.connections_closed, 1, "{final_stats:?}");
     assert!(final_stats.packets_uplinked >= 2, "{final_stats:?}");
+}
+
+/// The span count of `stage` in a STATS line's `metrics.timings_ns`.
+fn span_count(stats_line: &str, stage: Stage) -> u64 {
+    let key = format!("\"{}\":{{\"count\":", stage.name());
+    let at = stats_line
+        .find(&key)
+        .unwrap_or_else(|| panic!("no {key} in {stats_line}"))
+        + key.len();
+    let digits: String = stats_line[at..]
+        .chars()
+        .take_while(char::is_ascii_digit)
+        .collect();
+    digits.parse().expect("span count")
+}
+
+#[test]
+fn stats_metrics_cover_every_stream_of_the_connection() {
+    // One closed wideband stream and one still-open narrowband stream,
+    // both observed: STATS must count the spans of both.
+    let mut cfg = GatewayConfig::new(params());
+    cfg.streaming.observe = true;
+    let streams = [
+        (LoopbackConfig::wideband(params()), true),
+        (LoopbackConfig::new(params()), false),
+    ];
+    let gw = Gateway::spawn(("127.0.0.1", 0), cfg).expect("bind");
+    let mut c = GatewayClient::connect(gw.local_addr(), ClientConfig::default()).expect("connect");
+    let want = PipelineMetrics::enabled();
+    for (id, (lc, wideband)) in streams.iter().enumerate() {
+        let mut samples = loopback::scene(lc, id as u32);
+        if id == 1 {
+            // Trailing silence past one window: the open stream has run
+            // a batch decode before STATS.
+            let window = Overlap::new(params(), &cfg.streaming).window;
+            samples.resize(samples.len() + window, Complex32::ZERO);
+        }
+        c.send_samples(id as u32, &samples, lc.chunk, *wideband)
+            .expect("stream");
+        let front = WidebandConfig {
+            channelizer: cfg.channelizer,
+            streaming: cfg.streaming,
+        };
+        let mut rx = StreamDecoder::new(params(), &front, *wideband);
+        for chunk in quantize(&samples).chunks(lc.chunk) {
+            rx.push(chunk);
+        }
+        if id == 0 {
+            c.end_stream(0).expect("end");
+            rx.finish();
+        }
+        let one = PipelineMetrics::enabled();
+        rx.absorb_metrics_into(&one);
+        assert!(one.wall(Stage::Detect).count() > 0, "stream {id}");
+        want.absorb(&one);
+    }
+    c.request_stats().expect("stats");
+    // Ended after STATS, so the client's resend buffer drains.
+    c.end_stream(1).expect("end");
+    c.request_shutdown().expect("shutdown");
+    let lines = c.finish();
+    gw.join();
+
+    let stats_line = lines
+        .iter()
+        .find(|l| l.contains("\"type\":\"stats\""))
+        .unwrap_or_else(|| panic!("no stats line in {lines:?}"));
+    for stage in Stage::ALL {
+        assert_eq!(
+            span_count(stats_line, stage),
+            want.wall(stage).count(),
+            "{} spans in {stats_line}",
+            stage.name()
+        );
+    }
 }
