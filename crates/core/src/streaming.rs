@@ -9,9 +9,9 @@
 //! decodes reuse both, so a shard and a continuous stream agree.
 
 use crate::packet::{same_transmission, DecodedPacket};
-use crate::receiver::{DecodeReport, TnbConfig, TnbReceiver};
+use crate::receiver::{DecodeOutcome, DecodeReport, TnbConfig, TnbReceiver};
 use tnb_dsp::Complex32;
-use tnb_metrics::{MetricsSnapshot, PipelineMetrics};
+use tnb_metrics::{MetricsSnapshot, PipelineMetrics, StageCounters};
 use tnb_phy::params::LoRaParams;
 use tnb_phy::Transmitter;
 
@@ -123,6 +123,16 @@ impl Owned {
         }
     }
 
+    /// True when a claimed transmission starts within
+    /// [`same_transmission`]'s start tolerance (a quarter symbol) of
+    /// `start`, whatever its CFO.
+    fn covers(&self, start: f64) -> bool {
+        let tolerance = self.samples_per_symbol / 4.0;
+        self.claimed
+            .iter()
+            .any(|&(s, _)| (s - start).abs() < tolerance)
+    }
+
     /// Drops the claims that start before `start`.
     pub fn forget_before(&mut self, start: f64) {
         self.claimed.retain(|&(s, _)| s >= start);
@@ -150,7 +160,11 @@ pub struct StreamingReceiver {
     owned: Owned,
     /// Cumulative observability across all batch decodes of the stream.
     pub(crate) metrics: PipelineMetrics,
-    report: DecodeReport,
+    /// One outcome per transmission, at its absolute start: see
+    /// [`Self::report`].
+    outcomes: Vec<DecodeOutcome>,
+    /// Every window's stage work, summed.
+    stages: StageCounters,
 }
 
 impl StreamingReceiver {
@@ -176,16 +190,21 @@ impl StreamingReceiver {
             } else {
                 PipelineMetrics::disabled()
             },
-            report: DecodeReport::default(),
+            outcomes: Vec::new(),
+            stages: StageCounters::default(),
         }
     }
 
-    /// Cumulative decode report over every batch decode so far. Windows
-    /// overlap, so detection-side counters (windows scanned, packets
-    /// detected) can count a transmission more than once; emitted-packet
-    /// deduplication happens downstream of this report.
+    /// Cumulative decode report over every stream this receiver has
+    /// decoded. Its outcomes count each transmission once, at its
+    /// absolute start: one `Decoded` per emitted packet, and a window's
+    /// `Degraded` outcome once it settles (it starts before the first
+    /// sample the next window keeps, or the stream finished) and no
+    /// emitted packet starts within a quarter symbol of it. Every tally
+    /// is counted from those outcomes. The stage counters sum every
+    /// window's work, so they count the re-decoded overlap too.
     pub fn report(&self) -> DecodeReport {
-        self.report.clone()
+        DecodeReport::from_outcomes(self.outcomes.clone(), self.stages)
     }
 
     /// Snapshot of the cumulative pipeline metrics (all zeros unless
@@ -209,13 +228,10 @@ impl StreamingReceiver {
         if self.buffer.len() < self.overlap.window {
             return Vec::new();
         }
-        let out = self.process();
-        let keep = self.overlap.keep;
-        if self.buffer.len() > keep {
-            let drop = self.buffer.len() - keep;
-            self.buffer.drain(..drop);
-            self.base += drop as u64;
-        }
+        let drop = self.buffer.len().saturating_sub(self.overlap.keep);
+        let out = self.process((self.base + drop as u64) as f64);
+        self.buffer.drain(..drop);
+        self.base += drop as u64;
         self.owned
             .forget_before(self.base as f64 - self.overlap.max_packet as f64);
         out
@@ -230,7 +246,7 @@ impl StreamingReceiver {
     /// Cumulative [`Self::report`]/[`Self::metrics_snapshot`] are
     /// preserved.
     pub fn finish(&mut self) -> Vec<DecodedPacket> {
-        let out = self.process();
+        let out = self.process(f64::INFINITY);
         self.base = self.position();
         self.buffer.clear();
         self.owned.clear();
@@ -238,29 +254,39 @@ impl StreamingReceiver {
         out
     }
 
-    fn process(&mut self) -> Vec<DecodedPacket> {
+    /// Decodes the buffer and emits the packets no earlier window
+    /// claimed. Records a `Decoded` outcome per emitted packet and the
+    /// window's `Degraded` outcomes that start before `settled_before`
+    /// (the first sample the next window keeps) away from every claim.
+    fn process(&mut self, settled_before: f64) -> Vec<DecodedPacket> {
         if self.buffer.is_empty() {
             return Vec::new();
         }
-        let (decoded, mut report) = self
+        let (decoded, report) = self
             .rx
             .decode_multi_report_observed(&[&self.buffer], &self.metrics);
-        let claimed_before = self.owned.claimed.len();
-        let mut dup_rescues = 0;
+        self.stages.absorb(&report.stages);
+        let base = self.base as f64;
         let mut out = Vec::new();
         for mut d in decoded {
-            d.start += self.base as f64;
-            match self.owned.claim(d.start, d.cfo_cycles) {
-                Ok(()) => out.push(d),
-                // A rescue that an earlier window already emitted was
-                // re-decoded from the retained overlap: drop it from the
-                // rescue tally so the cumulative report counts each
-                // rescued transmission once per stream.
-                Err(owner) => dup_rescues += usize::from(d.pass >= 2 && owner < claimed_before),
+            d.start += base;
+            if self.owned.claim(d.start, d.cfo_cycles).is_ok() {
+                self.outcomes.push(DecodeOutcome::Decoded {
+                    start: d.start,
+                    pass: d.pass,
+                });
+                out.push(d);
             }
         }
-        report.second_pass_rescues = report.second_pass_rescues.saturating_sub(dup_rescues);
-        self.report.absorb(&report);
+        for o in report.outcomes {
+            if let DecodeOutcome::Degraded { start, reason } = o {
+                let start = start + base;
+                if start < settled_before && !self.owned.covers(start) {
+                    self.outcomes
+                        .push(DecodeOutcome::Degraded { start, reason });
+                }
+            }
+        }
         out
     }
 }

@@ -353,7 +353,7 @@ mod tests {
     fn bit_identical_to_the_frozen_transform_on_every_backend() {
         use crate::simd::{self, Backend};
         let before = simd::active();
-        let backends = [Backend::Scalar, Backend::Avx2, Backend::Neon];
+        let backends = [Backend::Scalar, Backend::Avx2];
         for b in backends.into_iter().filter(|&b| simd::supported(b)) {
             assert!(simd::force(b));
             for e in 0..=13 {

@@ -20,8 +20,9 @@
 //!   plans, reusable de-chirp/spectrum buffers and the signal-vector
 //!   arena) that keeps the steady-state decode loop free of per-symbol
 //!   allocations.
-//! - [`simd`]: runtime-dispatched SIMD kernels (AVX2 / NEON / scalar) for
-//!   the hot inner loops, bit-identical to the scalar reference.
+//! - [`simd`]: runtime-dispatched SIMD kernels (AVX2 or scalar) for the
+//!   hot inner loops, bit-identical to the scalar reference; non-x86
+//!   hosts run the scalar bodies.
 //! - [`channelizer`]: a polyphase DFT filterbank splitting one wideband
 //!   IQ stream into the per-channel streams the receivers consume.
 //!

@@ -11,11 +11,20 @@
 //! # Dispatch-once rule
 //!
 //! The backend is chosen once, on first kernel call, and cached in an
-//! atomic: `TNB_SIMD=scalar|avx2|neon|auto` overrides detection (an
-//! unsupported request falls back to scalar), otherwise the best backend
-//! the CPU supports wins. Tests pin a backend with [`force`]; production
-//! code never re-detects, so a long-running gateway cannot change kernels
-//! mid-stream.
+//! atomic: `TNB_SIMD=scalar|avx2` overrides detection (a request the
+//! host cannot run falls back to scalar), any other value takes the best
+//! backend the CPU supports. Tests pin a backend with [`force`];
+//! production code never re-detects, so a long-running gateway cannot
+//! change kernels mid-stream.
+//!
+//! # Two backends
+//!
+//! The scalar bodies and AVX2 (x86_64, runtime-detected). Every other
+//! host, aarch64 included, runs the scalar bodies, which are the
+//! reference the AVX2 bodies must match bit for bit. A vector backend
+//! for another architecture belongs here only together with a CI job
+//! that runs `tests/simd_parity.rs` on that architecture: a kernel that
+//! no check compiles has a contract nobody verifies.
 //!
 //! # Bit-exactness contract
 //!
@@ -49,8 +58,6 @@ pub enum Backend {
     Scalar,
     /// 256-bit AVX2 kernels (x86_64, runtime-detected).
     Avx2,
-    /// 128-bit NEON kernels (aarch64, baseline feature).
-    Neon,
 }
 
 impl Backend {
@@ -59,7 +66,6 @@ impl Backend {
         match self {
             Backend::Scalar => "scalar",
             Backend::Avx2 => "avx2",
-            Backend::Neon => "neon",
         }
     }
 
@@ -67,7 +73,6 @@ impl Backend {
         match self {
             Backend::Scalar => 1,
             Backend::Avx2 => 2,
-            Backend::Neon => 3,
         }
     }
 }
@@ -80,7 +85,6 @@ pub fn supported(b: Backend) -> bool {
     match b {
         Backend::Scalar => true,
         Backend::Avx2 => avx2_available(),
-        Backend::Neon => cfg!(target_arch = "aarch64"),
     }
 }
 
@@ -100,7 +104,6 @@ fn avx2_available() -> bool {
 pub fn active() -> Backend {
     match ACTIVE.load(Ordering::Relaxed) {
         2 => Backend::Avx2,
-        3 => Backend::Neon,
         1 => Backend::Scalar,
         _ => {
             let b = resolve();
@@ -112,31 +115,18 @@ pub fn active() -> Backend {
 
 fn resolve() -> Backend {
     let requested = std::env::var("TNB_SIMD").unwrap_or_default();
-    let by_env = match requested.as_str() {
-        "scalar" => Some(Backend::Scalar),
-        "avx2" => Some(Backend::Avx2),
-        "neon" => Some(Backend::Neon),
-        _ => None,
-    };
-    match by_env {
-        // An explicitly requested but unsupported backend degrades to
-        // scalar rather than crashing: the scalar path is always correct.
-        Some(b) => {
-            if supported(b) {
-                b
-            } else {
-                Backend::Scalar
-            }
-        }
-        None => {
-            if supported(Backend::Avx2) {
-                Backend::Avx2
-            } else if supported(Backend::Neon) {
-                Backend::Neon
-            } else {
-                Backend::Scalar
-            }
-        }
+    resolve_request(&requested, avx2_available())
+}
+
+/// The backend that the `TNB_SIMD` value `requested` selects on a host
+/// with or without AVX2. `scalar` always selects scalar. A request the
+/// host cannot run degrades to scalar rather than crashing, since the
+/// scalar path is always correct. Any other value (`auto`, empty,
+/// unknown) takes the best backend the host supports.
+fn resolve_request(requested: &str, avx2: bool) -> Backend {
+    match (requested, avx2) {
+        ("scalar", _) | (_, false) => Backend::Scalar,
+        _ => Backend::Avx2,
     }
 }
 
@@ -165,10 +155,6 @@ pub fn cmul(a: &[Complex32], b: &[Complex32], out: &mut [Complex32]) {
         // after `is_x86_feature_detected!("avx2")` confirmed support.
         #[cfg(target_arch = "x86_64")]
         Backend::Avx2 => unsafe { avx2::cmul(a, b, out) },
-        // SAFETY: NEON is a baseline aarch64 feature; `Backend::Neon`
-        // is only ever selected on aarch64 hosts.
-        #[cfg(target_arch = "aarch64")]
-        Backend::Neon => unsafe { neon::cmul(a, b, out) },
         _ => cmul_scalar(a, b, out, 0),
     }
 }
@@ -182,10 +168,6 @@ pub fn cmul_assign(buf: &mut [Complex32], rhs: &[Complex32]) {
         // after `is_x86_feature_detected!("avx2")` confirmed support.
         #[cfg(target_arch = "x86_64")]
         Backend::Avx2 => unsafe { avx2::cmul_assign(buf, rhs) },
-        // SAFETY: NEON is a baseline aarch64 feature; `Backend::Neon`
-        // is only ever selected on aarch64 hosts.
-        #[cfg(target_arch = "aarch64")]
-        Backend::Neon => unsafe { neon::cmul_assign(buf, rhs) },
         _ => cmul_assign_scalar(buf, rhs, 0),
     }
 }
@@ -202,10 +184,6 @@ pub fn butterfly(a: &mut [Complex32], b: &mut [Complex32], tw: &[Complex32], con
         // after `is_x86_feature_detected!("avx2")` confirmed support.
         #[cfg(target_arch = "x86_64")]
         Backend::Avx2 => unsafe { avx2::butterfly(a, b, tw, conj_tw) },
-        // SAFETY: NEON is a baseline aarch64 feature; `Backend::Neon`
-        // is only ever selected on aarch64 hosts.
-        #[cfg(target_arch = "aarch64")]
-        Backend::Neon => unsafe { neon::butterfly(a, b, tw, conj_tw) },
         _ => butterfly_scalar(a, b, tw, conj_tw, 0),
     }
 }
@@ -219,10 +197,6 @@ pub fn fold_mag(front: &[Complex32], back: &[Complex32], out: &mut [f32]) {
         // after `is_x86_feature_detected!("avx2")` confirmed support.
         #[cfg(target_arch = "x86_64")]
         Backend::Avx2 => unsafe { avx2::fold_mag(front, back, out) },
-        // SAFETY: NEON is a baseline aarch64 feature; `Backend::Neon`
-        // is only ever selected on aarch64 hosts.
-        #[cfg(target_arch = "aarch64")]
-        Backend::Neon => unsafe { neon::fold_mag(front, back, out) },
         _ => fold_mag_scalar(front, back, out, 0),
     }
 }
@@ -241,10 +215,6 @@ pub fn min_max(x: &[f32]) -> (f32, f32) {
         // after `is_x86_feature_detected!("avx2")` confirmed support.
         #[cfg(target_arch = "x86_64")]
         Backend::Avx2 => unsafe { avx2::min_max_keys(x) },
-        // SAFETY: NEON is a baseline aarch64 feature; `Backend::Neon`
-        // is only ever selected on aarch64 hosts.
-        #[cfg(target_arch = "aarch64")]
-        Backend::Neon => unsafe { neon::min_max_keys(x) },
         _ => min_max_keys_scalar(x, 0, (i32::MAX, i32::MIN)),
     };
     (f32_from_key(lo), f32_from_key(hi))
@@ -259,10 +229,6 @@ pub fn all_finite(x: &[f32]) -> bool {
         // after `is_x86_feature_detected!("avx2")` confirmed support.
         #[cfg(target_arch = "x86_64")]
         Backend::Avx2 => unsafe { avx2::all_finite(x) },
-        // SAFETY: NEON is a baseline aarch64 feature; `Backend::Neon`
-        // is only ever selected on aarch64 hosts.
-        #[cfg(target_arch = "aarch64")]
-        Backend::Neon => unsafe { neon::all_finite(x) },
         _ => all_finite_scalar(x, 0),
     }
 }
@@ -557,187 +523,6 @@ mod avx2 {
     }
 }
 
-// ---------------------------------------------------------------------
-// NEON kernels (aarch64). NEON has de-interleaving loads (`vld2q`),
-// so the complex kernels work on split re/im registers with plain
-// `mul`/`add`/`sub` in the exact scalar operand order.
-// ---------------------------------------------------------------------
-
-#[cfg(target_arch = "aarch64")]
-mod neon {
-    use super::Complex32;
-    use std::arch::aarch64::*;
-
-    /// See [`super::cmul`].
-    ///
-    /// # Safety
-    /// NEON must be available (baseline on aarch64).
-    // tnb-lint: no_alloc
-    // SAFETY: NEON is baseline on aarch64; pointer arithmetic stays
-    // within the common prefix of the slices (Complex32 is `repr(C)`).
-    #[target_feature(enable = "neon")]
-    pub unsafe fn cmul(a: &[Complex32], b: &[Complex32], out: &mut [Complex32]) {
-        let n = a.len().min(b.len()).min(out.len());
-        let quads = n / 4;
-        let ap = a.as_ptr().cast::<f32>();
-        let bp = b.as_ptr().cast::<f32>();
-        let op = out.as_mut_ptr().cast::<f32>();
-        for q in 0..quads {
-            let av = vld2q_f32(ap.add(q * 8)); // .0 = re lanes, .1 = im lanes
-            let bv = vld2q_f32(bp.add(q * 8));
-            vst2q_f32(op.add(q * 8), mul4(av, bv));
-        }
-        super::cmul_scalar(a, b, out, quads * 4);
-    }
-
-    /// See [`super::cmul_assign`].
-    ///
-    /// # Safety
-    /// NEON must be available (baseline on aarch64).
-    // tnb-lint: no_alloc
-    // SAFETY: NEON is baseline on aarch64; pointer arithmetic stays
-    // within the common prefix of the slices.
-    #[target_feature(enable = "neon")]
-    pub unsafe fn cmul_assign(buf: &mut [Complex32], rhs: &[Complex32]) {
-        let n = buf.len().min(rhs.len());
-        let quads = n / 4;
-        let bp = buf.as_mut_ptr().cast::<f32>();
-        let rp = rhs.as_ptr().cast::<f32>();
-        for q in 0..quads {
-            let av = vld2q_f32(bp.add(q * 8));
-            let bv = vld2q_f32(rp.add(q * 8));
-            vst2q_f32(bp.add(q * 8), mul4(av, bv));
-        }
-        super::cmul_assign_scalar(buf, rhs, quads * 4);
-    }
-
-    /// Four complex products in scalar operand order on split re/im
-    /// registers (no FMA).
-    ///
-    /// # Safety
-    /// NEON must be available (callers are `target_feature(neon)`).
-    // tnb-lint: no_alloc
-    // SAFETY: pure register arithmetic, no memory access.
-    #[target_feature(enable = "neon")]
-    unsafe fn mul4(a: float32x4x2_t, b: float32x4x2_t) -> float32x4x2_t {
-        let re = vsubq_f32(vmulq_f32(a.0, b.0), vmulq_f32(a.1, b.1));
-        let im = vaddq_f32(vmulq_f32(a.0, b.1), vmulq_f32(a.1, b.0));
-        float32x4x2_t(re, im)
-    }
-
-    /// See [`super::butterfly`].
-    ///
-    /// # Safety
-    /// NEON must be available (baseline on aarch64).
-    // tnb-lint: no_alloc
-    // SAFETY: NEON is baseline on aarch64; pointer arithmetic stays
-    // within the common prefix of the slices.
-    #[target_feature(enable = "neon")]
-    pub unsafe fn butterfly(
-        a: &mut [Complex32],
-        b: &mut [Complex32],
-        tw: &[Complex32],
-        conj_tw: bool,
-    ) {
-        let half = a.len().min(b.len()).min(tw.len());
-        let quads = half / 4;
-        let ap = a.as_mut_ptr().cast::<f32>();
-        let bp = b.as_mut_ptr().cast::<f32>();
-        let tp = tw.as_ptr().cast::<f32>();
-        for q in 0..quads {
-            let mut wv = vld2q_f32(tp.add(q * 8));
-            if conj_tw {
-                // Exact sign flip of the imaginary lanes, like scalar `-im`.
-                wv = float32x4x2_t(wv.0, vnegq_f32(wv.1));
-            }
-            let bv = vld2q_f32(bp.add(q * 8));
-            let t = mul4(bv, wv);
-            let av = vld2q_f32(ap.add(q * 8));
-            let sum = float32x4x2_t(vaddq_f32(av.0, t.0), vaddq_f32(av.1, t.1));
-            let diff = float32x4x2_t(vsubq_f32(av.0, t.0), vsubq_f32(av.1, t.1));
-            vst2q_f32(ap.add(q * 8), sum);
-            vst2q_f32(bp.add(q * 8), diff);
-        }
-        super::butterfly_scalar(a, b, tw, conj_tw, quads * 4);
-    }
-
-    /// See [`super::fold_mag`].
-    ///
-    /// # Safety
-    /// NEON must be available (baseline on aarch64).
-    // tnb-lint: no_alloc
-    // SAFETY: NEON is baseline on aarch64; pointer arithmetic stays
-    // within the common prefix of the slices.
-    #[target_feature(enable = "neon")]
-    pub unsafe fn fold_mag(front: &[Complex32], back: &[Complex32], out: &mut [f32]) {
-        let n = front.len().min(back.len()).min(out.len());
-        let quads = n / 4;
-        let fp = front.as_ptr().cast::<f32>();
-        let bp = back.as_ptr().cast::<f32>();
-        let op = out.as_mut_ptr();
-        for q in 0..quads {
-            let f = vld2q_f32(fp.add(q * 8));
-            let b = vld2q_f32(bp.add(q * 8));
-            // re² + im² in scalar order (re² first, as in `norm_sqr`).
-            let fns = vaddq_f32(vmulq_f32(f.0, f.0), vmulq_f32(f.1, f.1));
-            let bns = vaddq_f32(vmulq_f32(b.0, b.0), vmulq_f32(b.1, b.1));
-            let fab = vsqrtq_f32(fns); // correctly rounded, like .sqrt()
-            let bab = vsqrtq_f32(bns);
-            let m = vaddq_f32(fab, bab);
-            vst1q_f32(op.add(q * 4), vmulq_f32(m, m));
-        }
-        super::fold_mag_scalar(front, back, out, quads * 4);
-    }
-
-    /// See [`super::min_max`]; returns total-order integer keys.
-    ///
-    /// # Safety
-    /// NEON must be available (baseline on aarch64).
-    // tnb-lint: no_alloc
-    // SAFETY: NEON is baseline on aarch64; pointer arithmetic stays
-    // within `x`.
-    #[target_feature(enable = "neon")]
-    pub unsafe fn min_max_keys(x: &[f32]) -> (i32, i32) {
-        let lanes = x.len() / 4;
-        let p = x.as_ptr();
-        let mut lo_v = vdupq_n_s32(i32::MAX);
-        let mut hi_v = vdupq_n_s32(i32::MIN);
-        for q in 0..lanes {
-            let v = vreinterpretq_s32_f32(vld1q_f32(p.add(q * 4)));
-            let sign = vshrq_n_s32(v, 31);
-            let flip = vreinterpretq_s32_u32(vshrq_n_u32(vreinterpretq_u32_s32(sign), 1));
-            let k = veorq_s32(v, flip);
-            lo_v = vminq_s32(lo_v, k);
-            hi_v = vmaxq_s32(hi_v, k);
-        }
-        let lo = vminvq_s32(lo_v);
-        let hi = vmaxvq_s32(hi_v);
-        super::min_max_keys_scalar(x, lanes * 4, (lo, hi))
-    }
-
-    /// See [`super::all_finite`].
-    ///
-    /// # Safety
-    /// NEON must be available (baseline on aarch64).
-    // tnb-lint: no_alloc
-    // SAFETY: NEON is baseline on aarch64; pointer arithmetic stays
-    // within `x`.
-    #[target_feature(enable = "neon")]
-    pub unsafe fn all_finite(x: &[f32]) -> bool {
-        let lanes = x.len() / 4;
-        let p = x.as_ptr();
-        let exp = vdupq_n_u32(0x7F80_0000);
-        for q in 0..lanes {
-            let v = vreinterpretq_u32_f32(vld1q_f32(p.add(q * 4)));
-            let nonfinite = vceqq_u32(vandq_u32(v, exp), exp);
-            if vmaxvq_u32(nonfinite) != 0 {
-                return false;
-            }
-        }
-        super::all_finite_scalar(x, lanes * 4)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -756,21 +541,44 @@ mod tests {
     #[test]
     fn scalar_backend_is_always_supported_and_forcible() {
         assert!(supported(Backend::Scalar));
-        assert!(matches!(
-            active(),
-            Backend::Scalar | Backend::Avx2 | Backend::Neon
-        ));
+        assert!(matches!(active(), Backend::Scalar | Backend::Avx2));
         assert_eq!(Backend::Scalar.name(), "scalar");
         assert_eq!(Backend::Avx2.name(), "avx2");
-        assert_eq!(Backend::Neon.name(), "neon");
     }
 
     #[test]
     fn unsupported_backend_cannot_be_forced() {
-        #[cfg(not(target_arch = "aarch64"))]
-        assert!(!force(Backend::Neon));
-        #[cfg(not(target_arch = "x86_64"))]
-        assert!(!force(Backend::Avx2));
+        // Vacuous on AVX2 hosts: `simd_override_resolves_by_table`
+        // checks the degrade-to-scalar rule on every host.
+        if !supported(Backend::Avx2) {
+            assert!(!force(Backend::Avx2));
+        }
+    }
+
+    #[test]
+    fn simd_override_resolves_by_table() {
+        // (TNB_SIMD value, host has AVX2, backend selected)
+        let table = [
+            ("scalar", true, Backend::Scalar),
+            ("scalar", false, Backend::Scalar),
+            ("avx2", true, Backend::Avx2),
+            ("avx2", false, Backend::Scalar),
+            ("auto", true, Backend::Avx2),
+            ("auto", false, Backend::Scalar),
+            ("", true, Backend::Avx2),
+            ("", false, Backend::Scalar),
+            // An unknown value, like the name of a backend this crate
+            // does not have, takes the best supported backend.
+            ("neon", true, Backend::Avx2),
+            ("neon", false, Backend::Scalar),
+        ];
+        for (requested, avx2, want) in table {
+            assert_eq!(
+                resolve_request(requested, avx2),
+                want,
+                "TNB_SIMD={requested:?}, avx2 {avx2}"
+            );
+        }
     }
 
     #[test]

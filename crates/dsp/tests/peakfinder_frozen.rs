@@ -159,7 +159,7 @@ fn bits(peaks: &[Peak]) -> Vec<(usize, u32)> {
 
 #[test]
 fn matches_the_frozen_circular_capped_finder() {
-    let backends: Vec<Backend> = [Backend::Scalar, Backend::Avx2, Backend::Neon]
+    let backends: Vec<Backend> = [Backend::Scalar, Backend::Avx2]
         .into_iter()
         .filter(|&b| simd::supported(b))
         .collect();

@@ -86,7 +86,8 @@ const BASE_DELAY: Duration = Duration::from_millis(20);
 const MAX_DELAY: Duration = Duration::from_millis(500);
 
 /// How long to wait for the daemon's `hello` / `resumed` / `pong`
-/// reply lines, and for ack progress in [`GatewayClient::drain`].
+/// reply lines; in [`GatewayClient::drain`], for the pong or for ack
+/// progress.
 const REPLY_TIMEOUT: Duration = Duration::from_secs(10);
 
 /// Resend-buffer bound, in frames. Older unacked frames beyond it are
@@ -145,7 +146,8 @@ struct LinkState {
     /// exactly the lines lost with a dead connection. The counted set
     /// must match what the daemon's session log records.
     session_lines: u64,
-    /// Nonce of the most recent `pong` line.
+    /// Nonce of the most recent `pong` line. Pong lines answer the
+    /// client's own liveness probes, so they stay out of `lines`.
     last_pong: Option<u32>,
     /// `goaway` lines seen (a RESUME of an expired session is answered
     /// with `goaway "unknown-session"` instead of `resumed`).
@@ -193,6 +195,40 @@ fn parse_resumed_streams(line: &str) -> BTreeMap<u32, u32> {
     out
 }
 
+/// Drops buffered frames covered by `acks` (per-stream cursor,
+/// u32-wraparound aware).
+fn prune(buffer: &mut VecDeque<BufferedFrame>, acks: &BTreeMap<u32, u32>) {
+    buffer.retain(|f| match acks.get(&f.stream_id) {
+        // Keep the frame only while it is ahead of the acked seq.
+        Some(&acked) => f.seq.wrapping_sub(acked) < 1 << 31 && f.seq != acked,
+        None => true,
+    });
+}
+
+/// What a [`GatewayClient::drain`] turn learns while it waits.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum DrainStep {
+    /// The pong of the turn's PING arrived. The daemon's ingest is FIFO
+    /// and its decode loop answers PING in turn, so every frame written
+    /// before the PING was consumed.
+    Consumed,
+    /// An ack moved past the turn's snapshot: the daemon is making
+    /// progress, so a long decode backlog is not a dead link.
+    Acked,
+}
+
+/// The drain turn's decision on `st`, given the ack snapshot the turn
+/// pruned against and the nonce of its PING; `None` keeps waiting.
+fn drain_step(st: &LinkState, snapshot: &BTreeMap<u32, u32>, nonce: u32) -> Option<DrainStep> {
+    if st.last_pong == Some(nonce) {
+        Some(DrainStep::Consumed)
+    } else if st.acks != *snapshot {
+        Some(DrainStep::Acked)
+    } else {
+        None
+    }
+}
+
 fn spawn_link_reader(read_half: TcpStream, link: Arc<Link>) -> JoinHandle<()> {
     thread::spawn(move || {
         for line in BufReader::new(read_half).lines() {
@@ -208,6 +244,9 @@ fn spawn_link_reader(read_half: TcpStream, link: Arc<Link>) -> JoinHandle<()> {
                 }
             } else if l.starts_with("{\"type\":\"pong\"") {
                 st.last_pong = json_u64(&l, "nonce").map(|v| v as u32);
+                drop(st);
+                link.cv.notify_all();
+                continue;
             } else if l.starts_with("{\"type\":\"goaway\"") {
                 st.goaways += 1;
             }
@@ -244,6 +283,8 @@ pub struct GatewayClient {
     token: u32,
     next_seq: BTreeMap<u32, u32>,
     buffer: VecDeque<BufferedFrame>,
+    /// Nonce of the last PING [`Self::drain`] sent.
+    drain_nonce: u32,
     rng: u64,
     stats: ClientStats,
 }
@@ -276,6 +317,7 @@ impl GatewayClient {
             token: 0,
             next_seq: BTreeMap::new(),
             buffer: VecDeque::new(),
+            drain_nonce: 0,
             rng: cfg.seed ^ 0x9e37_79b9_7f4a_7c15,
             stats: ClientStats::default(),
         };
@@ -372,24 +414,39 @@ impl GatewayClient {
         self.sock.write_all(&encode_frame(&Frame::shutdown()))
     }
 
-    /// Blocks until every buffered frame has been acked by the daemon,
-    /// reconnecting and resending whenever ack progress stalls for a
-    /// full reply timeout. This is what turns "the write syscall
-    /// succeeded" into "the daemon consumed it": a send swallowed by a
-    /// dying socket's kernel buffer is detected here and replayed.
+    /// Blocks until the daemon has consumed every buffered frame. Each
+    /// turn prunes the buffer against one ack snapshot, writes a PING
+    /// and waits: the pong proves every earlier frame consumed (acked or
+    /// not, so an open stream's unacked tail does not stall), and an ack
+    /// that moves past the snapshot starts a new turn. Only a full reply
+    /// timeout with neither reconnects and resends. This is what turns
+    /// "the write syscall succeeded" into "the daemon consumed it": a
+    /// send swallowed by a dying socket's kernel buffer is detected here
+    /// and replayed.
     pub fn drain(&mut self) -> io::Result<()> {
         let mut attempts_left = MAX_RECONNECTS;
         loop {
-            self.prune_acked();
-            if self.buffer.is_empty() {
-                return Ok(());
-            }
-            let before = {
+            let snapshot = {
                 let st = self.link.lock_state();
                 st.acks.clone()
             };
-            if self.wait_until(REPLY_TIMEOUT, |st| st.acks != before) {
-                continue;
+            prune(&mut self.buffer, &snapshot);
+            if self.buffer.is_empty() {
+                return Ok(());
+            }
+            self.drain_nonce = self.drain_nonce.wrapping_add(1);
+            let nonce = self.drain_nonce;
+            let step = match self.sock.write_all(&encode_frame(&Frame::ping(nonce))) {
+                Ok(()) => self.wait_state(REPLY_TIMEOUT, |st| drain_step(st, &snapshot, nonce)),
+                Err(_) => None,
+            };
+            match step {
+                Some(DrainStep::Consumed) => {
+                    self.buffer.clear();
+                    return Ok(());
+                }
+                Some(DrainStep::Acked) => continue,
+                None => {}
             }
             if attempts_left == 0 {
                 return Err(io::Error::new(
@@ -427,7 +484,11 @@ impl GatewayClient {
     /// Writes the frame, buffers it, trims acked/overflowed entries,
     /// and falls back to the reconnect path when the socket is dead.
     fn ship(&mut self, stream_id: u32, seq: u32, bytes: Vec<u8>) -> io::Result<()> {
-        self.prune_acked();
+        let acks = {
+            let st = self.link.lock_state();
+            st.acks.clone()
+        };
+        prune(&mut self.buffer, &acks);
         let written = self.sock.write_all(&bytes).is_ok();
         self.buffer.push_back(BufferedFrame {
             stream_id,
@@ -444,20 +505,6 @@ impl GatewayClient {
         // Dead socket: the reconnect path resends the whole unacked
         // buffer (this frame included) after RESUME.
         self.reconnect()
-    }
-
-    /// Drops buffered frames the daemon has acked (per-stream cursor,
-    /// u32-wraparound aware).
-    fn prune_acked(&mut self) {
-        let acks = {
-            let st = self.link.lock_state();
-            st.acks.clone()
-        };
-        self.buffer.retain(|f| match acks.get(&f.stream_id) {
-            // Keep the frame only while it is ahead of the acked seq.
-            Some(&acked) => f.seq.wrapping_sub(acked) < 1 << 31 && f.seq != acked,
-            None => true,
-        });
     }
 
     /// Reconnect loop: backoff, dial, RESUME the session, resend every
@@ -602,6 +649,61 @@ mod tests {
         assert_eq!(cursors.get(&9), Some(&0));
         assert!(
             parse_resumed_streams("{\"type\":\"resumed\",\"session\":1,\"streams\":[]}").is_empty()
+        );
+    }
+
+    /// Buffered frames `0..n` of stream 0.
+    fn frames(n: u32) -> VecDeque<BufferedFrame> {
+        (0..n)
+            .map(|seq| BufferedFrame {
+                stream_id: 0,
+                seq,
+                bytes: Vec::new(),
+            })
+            .collect()
+    }
+
+    fn seqs(buffer: &VecDeque<BufferedFrame>) -> Vec<u32> {
+        buffer.iter().map(|f| f.seq).collect()
+    }
+
+    #[test]
+    fn drain_sees_an_ack_that_lands_between_prune_and_wait() {
+        let mut st = LinkState::default();
+        st.acks.insert(0, 1);
+        let mut buffer = frames(4);
+        // Turn 1 prunes against its one snapshot.
+        let snapshot = st.acks.clone();
+        prune(&mut buffer, &snapshot);
+        assert_eq!(seqs(&buffer), [2, 3]);
+        // The last ack lands after the prune, before the wait: the wait
+        // compares with the same snapshot, so it sees the ack at once.
+        st.acks.insert(0, 3);
+        assert_eq!(drain_step(&st, &snapshot, 1), Some(DrainStep::Acked));
+        // Turn 2 prunes against the new snapshot: nothing is left.
+        prune(&mut buffer, &st.acks.clone());
+        assert!(buffer.is_empty());
+    }
+
+    #[test]
+    fn drain_ends_on_its_own_pong_and_otherwise_waits() {
+        // An open stream: acked up to seq 15, its tail never acked.
+        let mut st = LinkState::default();
+        st.acks.insert(0, 15);
+        let snapshot = st.acks.clone();
+        assert_eq!(drain_step(&st, &snapshot, 2), None, "nothing moved");
+        st.last_pong = Some(1);
+        assert_eq!(
+            drain_step(&st, &snapshot, 2),
+            None,
+            "an earlier PING's pong proves nothing about later frames"
+        );
+        st.last_pong = Some(2);
+        st.acks.insert(0, 16);
+        assert_eq!(
+            drain_step(&st, &snapshot, 2),
+            Some(DrainStep::Consumed),
+            "the pong covers every frame, acked or not"
         );
     }
 

@@ -111,6 +111,33 @@ fn stats_and_shutdown_verbs() {
     assert!(final_stats.packets_uplinked >= 2, "{final_stats:?}");
 }
 
+#[test]
+fn drain_with_an_open_stream_returns_without_reconnecting() {
+    // The daemon acks a stream every `ack_every` frames and at END, so
+    // the tail of a stream that is still open is never acked. Drain's
+    // PING proves that tail consumed; without it drain would wait a
+    // full reply timeout and reconnect.
+    let cfg = GatewayConfig::new(params());
+    let gw = Gateway::spawn(("127.0.0.1", 0), cfg).expect("bind");
+    let mut c = GatewayClient::connect(gw.local_addr(), ClientConfig::default()).expect("connect");
+    let samples = loopback::scene(&LoopbackConfig::new(params()), 0);
+    let sent = c.send_samples(0, &samples, 65_536, false).expect("stream");
+    assert!(
+        u64::from(sent) < cfg.ack_every,
+        "premise: {sent} frames get no ack"
+    );
+    c.drain().expect("drain");
+    assert_eq!(c.stats().reconnects, 0, "{:?}", c.stats());
+    c.end_stream(0).expect("end");
+    c.request_shutdown().expect("shutdown");
+    let lines = c.finish();
+    gw.join();
+    assert!(
+        lines.iter().any(|l| l.contains("\"type\":\"end\"")),
+        "{lines:?}"
+    );
+}
+
 /// The span count of `stage` in a STATS line's `metrics.timings_ns`.
 fn span_count(stats_line: &str, stage: Stage) -> u64 {
     let key = format!("\"{}\":{{\"count\":", stage.name());
